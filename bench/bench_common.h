@@ -20,6 +20,7 @@
 #include "gpusim/device.h"
 #include "gpusim/profile.h"
 #include "gpusim/resource_class.h"
+#include "gpusim/trace.h"
 
 namespace gpm::bench {
 
@@ -315,7 +316,7 @@ inline std::string& BenchCurrentRunName() {
 /// `<prefix><sanitized-run-name>.trace.json` when `--trace-out` is set.
 inline void WriteBenchTrace(const gpusim::Device& device) {
   const std::string& prefix = BenchTraceOutPrefix();
-  if (prefix.empty() || !device.trace().enabled()) return;
+  if (prefix.empty() || !device.params().record_timeline) return;
   std::string tag = BenchCurrentRunName();
   for (char& c : tag) {
     const bool keep = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
@@ -328,9 +329,10 @@ inline void WriteBenchTrace(const gpusim::Device& device) {
     std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
     return;
   }
-  out << device.trace().ToChromeTraceJson(device.params());
-  std::printf("timeline written to %s (%zu events)\n", path.c_str(),
-              device.trace().events().size());
+  out << gpusim::ToChromeTraceJson(device.critpath(), device.params());
+  std::printf("timeline written to %s (%zu commands, %zu instants)\n",
+              path.c_str(), device.critpath().commands().size(),
+              device.critpath().instants().size());
 }
 
 /// Reports one completed system run: simulated time becomes the manual

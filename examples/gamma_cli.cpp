@@ -34,6 +34,7 @@
 #include "gpusim/critpath.h"
 #include "gpusim/device.h"
 #include "gpusim/profile.h"
+#include "gpusim/trace.h"
 
 namespace {
 
@@ -148,9 +149,12 @@ void Usage() {
       "  --trace-out F      write a Chrome trace-event JSON timeline\n"
       "                     (kernels, phases, warp slots, UM page events;\n"
       "                     open in Perfetto or chrome://tracing)\n"
-      "  --trace-capacity N cap buffered trace events / kernel records /\n"
-      "                     timeline commands (default 65536 events, 2^20\n"
-      "                     commands; overflow counted, not stored)\n"
+      "  --trace-capacity N cap the command log, the one timeline record\n"
+      "                     behind --trace, --profile-json, --trace-out,\n"
+      "                     --critpath-out and --planprof-out, at N\n"
+      "                     entries (commands plus UM/adaptivity\n"
+      "                     instants; default 2^20). Overflow is counted\n"
+      "                     in one drop counter, not stored\n"
       "  --critpath-out F   write a gamma.critpath.v1 analysis: critical\n"
       "                     path over the stream/event/kernel DAG, per-span\n"
       "                     slack, per-phase binding resource, and what-if\n"
@@ -584,18 +588,16 @@ int main(int argc, char** argv) {
   params.um_device_buffer_bytes = params.device_memory_bytes / 8;
   params.num_warp_slots = o.warps;
   params.host_threads = o.host_threads;
+  // The command log is the one timeline record: the --trace table, the
+  // profile's kernel table, the Chrome trace, the critpath analysis and
+  // the plan profiler's attribution columns are all views over it.
+  // Recording stays observation-only.
+  params.record_commands = o.trace || !o.profile_json.empty() ||
+                           !o.critpath_out.empty() ||
+                           !o.planprof_out.empty() || o.explain_analyze;
+  params.record_timeline = !o.trace_out.empty();
   gpusim::Device device(params);
-  // The JSON profile embeds the kernel trace, so --profile-json implies
-  // tracing.
-  if (o.trace || !o.profile_json.empty()) device.set_trace_enabled(true);
-  if (o.trace_capacity > 0) device.set_trace_capacity(o.trace_capacity);
-  if (!o.trace_out.empty()) device.trace().set_enabled(true);
-  if (!o.critpath_out.empty()) device.critpath().set_enabled(true);
-  // The plan profiler's resource attribution and binding columns come from
-  // the critpath command log; recording it stays observation-only.
-  if (!o.planprof_out.empty() || o.explain_analyze) {
-    device.critpath().set_enabled(true);
-  }
+  if (o.trace_capacity > 0) device.critpath().set_capacity(o.trace_capacity);
   if (!o.metrics_out.empty()) {
     device.metrics().set_interval_cycles(o.metrics_interval);
   }
@@ -713,13 +715,19 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  const prof::CommandLog& log = device.critpath();
+  std::size_t kernel_records = 0;
+  for (const prof::CommandRecord& rec : log.commands()) {
+    if (rec.kind == prof::CommandRecord::Kind::kKernel) ++kernel_records;
+  }
   if (o.trace) {
-    // Aggregate the trace by kernel name.
+    // Aggregate the log's kernel records by kernel name.
     std::map<std::string, std::pair<std::size_t, double>> by_name;
-    for (const auto& rec : device.kernel_trace()) {
+    for (const prof::CommandRecord& rec : log.commands()) {
+      if (rec.kind != prof::CommandRecord::Kind::kKernel) continue;
       auto& agg = by_name[rec.name];
       agg.first += 1;
-      agg.second += rec.total_cycles;
+      agg.second += rec.end - rec.start;
     }
     std::printf("kernel breakdown:\n");
     for (const auto& [name, agg] : by_name) {
@@ -753,11 +761,10 @@ int main(int argc, char** argv) {
     out << device.profile().ToJson(device);
     std::printf("profile written to %s (%zu phases, %zu kernel records",
                 o.profile_json.c_str(), device.profile().phases().size(),
-                device.kernel_trace().size());
-    if (device.dropped_kernel_records() > 0) {
+                kernel_records);
+    if (log.dropped() > 0) {
       std::printf(", %llu dropped",
-                  static_cast<unsigned long long>(
-                      device.dropped_kernel_records()));
+                  static_cast<unsigned long long>(log.dropped()));
     }
     std::printf(")\n");
   }
@@ -768,12 +775,12 @@ int main(int argc, char** argv) {
                    o.trace_out.c_str());
       return 1;
     }
-    out << device.trace().ToChromeTraceJson(device.params());
-    std::printf("timeline written to %s (%zu events, %llu dropped; open in "
-                "Perfetto)\n",
-                o.trace_out.c_str(), device.trace().events().size(),
-                static_cast<unsigned long long>(
-                    device.trace().dropped_events()));
+    out << gpusim::ToChromeTraceJson(log, device.params());
+    std::printf("timeline written to %s (%zu commands, %zu instants, %llu "
+                "dropped; open in Perfetto)\n",
+                o.trace_out.c_str(), log.commands().size(),
+                log.instants().size(),
+                static_cast<unsigned long long>(log.dropped()));
   }
   if (!o.metrics_out.empty()) {
     // Pin the final state so the series always covers the whole run.

@@ -175,10 +175,13 @@ void AdaptivityAudit::RecordHybridPlan(const AccessHeatTracker& heat,
     }
   }
 
-  if (device_->trace().enabled()) {
-    device_->trace().RecordAdaptivity(device_->now_cycles(),
-                                      static_cast<uint32_t>(open_.extension),
-                                      unified_pages);
+  if (device_->params().record_timeline) {
+    prof::InstantRecord rec;
+    rec.kind = prof::InstantRecord::Kind::kAdaptivity;
+    rec.ts = device_->now_cycles();
+    rec.region = static_cast<uint32_t>(open_.extension);
+    rec.page = unified_pages;
+    device_->critpath().AppendInstant(rec);
   }
 }
 

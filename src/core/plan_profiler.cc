@@ -111,7 +111,8 @@ void PlanProfiler::BeginSegment(PlanProfLevelInput input) {
   segment_open_ = true;
   // The marker carries no clock edge and is skipped by the critpath
   // replay; it only lets the analyzer window this segment's commands.
-  device_->BeginPhaseMark(MarkerName(run_seq_, segments_.back().label));
+  device_->BeginPhaseMark(MarkerName(run_seq_, segments_.back().label),
+                          /*segment=*/true);
   seg_begin_cycles_ = device_->now_cycles();
   seg_begin_stats_ = device_->stats().Snapshot();
   seg_cmd_begin_ = device_->critpath().commands().size();
@@ -175,8 +176,7 @@ void PlanProfiler::FinishRun() {
   in_run_ = false;
   finished_ = true;
   total_cycles_ = device_->now_cycles() - run_begin_cycles_;
-  dropped_commands_ =
-      device_->critpath().dropped() + device_->dropped_kernel_records();
+  dropped_commands_ = device_->critpath().dropped();
   partial_ = dropped_commands_ > 0;
   if (!device_->critpath().enabled()) return;
 

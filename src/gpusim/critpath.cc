@@ -661,7 +661,7 @@ Result<CritpathReport> Analyze(const CommandLog& log,
   }
 
   CritpathReport report;
-  report.dropped_commands = log.dropped() + options.extra_dropped;
+  report.dropped_commands = log.dropped();
   report.partial = report.dropped_commands > 0;
   report.commands = cmds.size();
 
@@ -793,7 +793,6 @@ Result<CritpathReport> Analyze(const gpusim::Device& device) {
   AnalyzeOptions options;
   options.total_cycles = device.now_cycles();
   options.link_busy_cycles = device.streams().link_busy_cycles();
-  options.extra_dropped = device.dropped_kernel_records();
   return Analyze(device.critpath(), options);
 }
 

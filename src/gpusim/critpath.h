@@ -20,10 +20,13 @@ class Device;
 ///
 /// The Device records one CommandRecord per timeline command (kernel
 /// launch, explicit copy, host work, event wait, synchronize, ...) into a
-/// CommandLog when enabled. `Analyze` rebuilds the dependency DAG from the
-/// log — stream order, event edges, PCIe-link serialization — and computes
-/// the critical path, per-span slack, per-phase binding resource, and
-/// what-if projections that rescale one resource class and replay the DAG.
+/// CommandLog when enabled. The log is the device's only timeline
+/// recorder: the Chrome trace (gpusim/trace.h), the profile's kernel table
+/// and the plan profiler are views computed from it after the run.
+/// `Analyze` rebuilds the dependency DAG from the log — stream order,
+/// event edges, PCIe-link serialization — and computes the critical path,
+/// per-span slack, per-phase binding resource, and what-if projections
+/// that rescale one resource class and replay the DAG.
 ///
 /// Exactness contract: the replay reuses the simulator's own arithmetic
 /// (the same `max(ready, link_free) + transfer` / `work_start + makespan`
@@ -92,13 +95,47 @@ struct CommandRecord {
   uint64_t tasks = 0;
   double task_max_cycles = 0;
   double task_total_cycles = 0;
+  /// Finish time of each warp slot in the greedy list schedule, relative
+  /// to `start + launch_cycles`; filled only while the timeline is armed
+  /// (SimParams::record_timeline). Every slot takes its next task the
+  /// moment it frees up, so its busy time is the single run
+  /// [0, slot_finish[s]] (empty when 0) — the Chrome trace's slot track.
+  std::vector<double> slot_finish;
+
+  /// Phase markers only: true for a plan-profiler segment, false for a
+  /// PhaseScope. Commands inside a segment still carry its name as their
+  /// `phase`; the sanitizer and the trace's phase track skip segments.
+  bool segment = false;
 };
 
-/// Bounded recorder for CommandRecords, owned by the Device. Appends are
-/// O(1); overflow is counted (not silently truncated) and marks every
-/// later analysis `partial`. Pure observation: recording never changes
-/// simulated results, and the records are bit-identical across host-thread
-/// counts (ordered replay fills them on the launching thread).
+/// One instantaneous timeline event, recorded only while the timeline is
+/// armed (SimParams::record_timeline): a unified-memory page event or a
+/// hybrid placement decision, stamped with the device clock
+/// (kernel-boundary resolution: all events of one kernel share its start).
+/// Adaptivity decisions reuse `region`/`page` for the 1-based extension
+/// index and the number of pages flagged for unified access.
+struct InstantRecord {
+  enum class Kind : uint8_t {
+    kUmFault,     // page fault + migration
+    kUmHit,       // access to a resident page
+    kUmEviction,  // LRU eviction from the page buffer
+    kUmPrefetch,  // bulk migration without fault penalty
+    kAdaptivity,  // one hybrid placement decision
+  };
+
+  double ts = 0;
+  uint64_t page = 0;
+  uint32_t region = 0;
+  Kind kind = Kind::kUmFault;
+};
+
+/// Bounded recorder for CommandRecords and InstantRecords, owned by the
+/// Device. Appends are O(1); both lists share one capacity, and overflow
+/// is counted in one drop counter (not silently truncated) that marks
+/// every later analysis `partial`. The earliest entries win, so a
+/// truncated log still starts at t=0. Pure observation: recording never
+/// changes simulated results, and the records are bit-identical across
+/// host-thread counts (ordered replay fills them on the launching thread).
 class CommandLog {
  public:
   static constexpr std::size_t kDefaultCapacity = 1u << 20;
@@ -106,14 +143,17 @@ class CommandLog {
   void set_enabled(bool enabled) { enabled_ = enabled; }
   bool enabled() const { return enabled_; }
 
+  /// Bounds commands + instants together.
   void set_capacity(std::size_t capacity) { capacity_ = capacity; }
   std::size_t capacity() const { return capacity_; }
 
   const std::vector<CommandRecord>& commands() const { return commands_; }
+  const std::vector<InstantRecord>& instants() const { return instants_; }
   uint64_t dropped() const { return dropped_; }
 
   void Clear() {
     commands_.clear();
+    instants_.clear();
     last_on_stream_.clear();
     last_sync_ = -1;
     last_link_ = -1;
@@ -138,11 +178,7 @@ class CommandLog {
   /// Appends `rec` and updates the per-stream / link bookkeeping. Returns
   /// the record's index, or -1 when the log is full (counted as dropped).
   int32_t Append(CommandRecord rec) {
-    if (!enabled_) return -1;
-    if (commands_.size() >= capacity_) {
-      ++dropped_;
-      return -1;
-    }
+    if (!Admit()) return -1;
     const int32_t idx = static_cast<int32_t>(commands_.size());
     switch (rec.kind) {
       case CommandRecord::Kind::kSynchronize:
@@ -169,10 +205,26 @@ class CommandLog {
     return idx;
   }
 
+  /// Appends an instant (no clock edge; `Analyze` never reads these).
+  void AppendInstant(const InstantRecord& rec) {
+    if (Admit()) instants_.push_back(rec);
+  }
+
  private:
+  /// False while disabled (uncounted) or full (counted as dropped).
+  bool Admit() {
+    if (!enabled_) return false;
+    if (commands_.size() + instants_.size() >= capacity_) {
+      ++dropped_;
+      return false;
+    }
+    return true;
+  }
+
   bool enabled_ = false;
   std::size_t capacity_ = kDefaultCapacity;
   std::vector<CommandRecord> commands_;
+  std::vector<InstantRecord> instants_;
   std::vector<int32_t> last_on_stream_;
   int32_t last_sync_ = -1;
   int32_t last_link_ = -1;
@@ -226,10 +278,10 @@ struct WhatIf {
 };
 
 struct CritpathReport {
-  /// True when the command log (or the device's kernel-record list)
-  /// overflowed: the DAG is a prefix of the run, the identity between
-  /// critical path and end-to-end time no longer holds, and what-if
-  /// projections are suppressed rather than computed from a truncated DAG.
+  /// True when the command log overflowed: the DAG is a prefix of the
+  /// run, the identity between critical path and end-to-end time no
+  /// longer holds, and what-if projections are suppressed rather than
+  /// computed from a truncated DAG.
   bool partial = false;
   uint64_t dropped_commands = 0;
 
@@ -267,7 +319,6 @@ struct CritpathReport {
 struct AnalyzeOptions {
   double total_cycles = 0;       // device end-to-end clock
   double link_busy_cycles = 0;   // for the link-utilization gauge
-  uint64_t extra_dropped = 0;    // e.g. Device::dropped_kernel_records()
   /// Cost factors applied per class for the what-if panel, in addition to
   /// the always-present factor-1.0 identity row. Empty = default panel
   /// (each scalable class at 0.5).
@@ -281,8 +332,8 @@ struct AnalyzeOptions {
 Result<CritpathReport> Analyze(const CommandLog& log,
                                const AnalyzeOptions& options);
 
-/// Convenience overload pulling log, clock, link occupancy, and drop
-/// counters from a finished device.
+/// Convenience overload pulling log, clock, and link occupancy from a
+/// finished device.
 Result<CritpathReport> Analyze(const gpusim::Device& device);
 
 }  // namespace gpm::prof

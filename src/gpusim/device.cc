@@ -11,16 +11,14 @@ Device::Device(SimParams params)
     : params_(params),
       memory_(params.device_memory_bytes),
       unified_(params_, &stats_) {
-  // Page-level fault/hit/eviction events land on the timeline recorder,
-  // stamped with the device clock (kernel-boundary resolution).
-  unified_.BindTrace(&trace_recorder_, &clock_cycles_);
   // Observability armed from params so harnesses that construct the
   // Device behind a helper (benches) can opt in without plumbing calls.
-  if (params_.record_commands) critpath_.set_enabled(true);
-  if (params_.record_timeline) {
-    trace_enabled_ = true;
-    trace_recorder_.set_enabled(true);
+  if (params_.record_commands || params_.record_timeline) {
+    critpath_.set_enabled(true);
   }
+  // The timeline adds page-level fault/hit/eviction/prefetch instants to
+  // the log, stamped with the device clock (kernel-boundary resolution).
+  if (params_.record_timeline) unified_.BindTrace(&critpath_, &clock_cycles_);
   // host_threads is a wall-clock knob only: the pool runs kernel record
   // phases, and ordered replay keeps results bit-identical to serial.
   if (params_.host_threads > 1) {
@@ -75,6 +73,7 @@ Device::~Device() {
 void Device::EnableSanitizer(Sanitizer::Options options) {
   sanitizer_ = std::make_unique<Sanitizer>(options);
   sanitizer_->BindClock(&clock_cycles_);
+  sanitizer_->BindPhases(&phase_stack_);
   memory_.set_sanitizer(sanitizer_.get());
   unified_.set_sanitizer(sanitizer_.get());
   // Everything that predates the sanitizer is baseline: treated as
@@ -127,10 +126,6 @@ double Device::CopyAsync(StreamId stream, std::size_t bytes,
   const double end = streams_.AcquireLink(ready, transfer);
   streams_.set_cycles(stream, end);
   clock_cycles_ = streams_.now_cycles();
-  if (trace_recorder_.enabled()) {
-    trace_recorder_.RecordSpan(TraceRecorder::Kind::kCopy, name, start, end,
-                               stream);
-  }
   if (record_cmds) {
     prof::CommandRecord rec;
     rec.kind = prof::CommandRecord::Kind::kCopy;

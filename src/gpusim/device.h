@@ -21,7 +21,6 @@
 #include "gpusim/sim_params.h"
 #include "gpusim/stats.h"
 #include "gpusim/stream.h"
-#include "gpusim/trace.h"
 #include "gpusim/unified_memory.h"
 #include "gpusim/warp.h"
 
@@ -70,11 +69,6 @@ class Device {
   RunProfile& profile() { return profile_; }
   const RunProfile& profile() const { return profile_; }
 
-  /// Timeline recorder (kernel/copy/phase/warp-slot spans, UM page events).
-  /// Disabled by default; see TraceRecorder for the Chrome-trace export.
-  TraceRecorder& trace() { return trace_recorder_; }
-  const TraceRecorder& trace() const { return trace_recorder_; }
-
   /// Periodic DeviceStats/occupancy sampler (gamma.metrics.v1 export).
   /// Disabled until an interval is set; fed on every clock advance.
   MetricsSampler& metrics() { return metrics_; }
@@ -119,10 +113,14 @@ class Device {
 
   // -- gamma-prof -------------------------------------------------------------
 
-  /// Command log for critical-path analysis (see gpusim/critpath.h).
-  /// Disabled by default; `SimParams::record_commands` or
-  /// `critpath().set_enabled(true)` turns it on. Recording is pure
-  /// observation — simulated results are identical with it on or off.
+  /// The device's one timeline recorder (see gpusim/critpath.h): command
+  /// records for critical-path analysis, the kernel table, and the Chrome
+  /// trace. Disabled by default; `SimParams::record_commands`,
+  /// `SimParams::record_timeline` or `critpath().set_enabled(true)` turns
+  /// it on, and `critpath().set_capacity` bounds it. The timeline detail —
+  /// UM page and adaptivity instants, per-slot finish times — is recorded
+  /// only under `record_timeline`. Recording is pure observation —
+  /// simulated results are identical with it on or off.
   prof::CommandLog& critpath() { return critpath_; }
   const prof::CommandLog& critpath() const { return critpath_; }
 
@@ -141,35 +139,25 @@ class Device {
   void BeginSortActivity() { ++sort_depth_; }
   void EndSortActivity() { --sort_depth_; }
 
-  /// Phase bracket, driven by PhaseScope. The stack is always maintained
-  /// (cheap); begin/end marker records are appended only while the command
-  /// log is enabled, so the analyzer can attribute spans to phases.
-  void BeginPhaseMark(const std::string& name) {
-    phase_stack_.push_back(name);
-    if (critpath_.enabled()) {
-      prof::CommandRecord rec;
-      rec.kind = prof::CommandRecord::Kind::kPhaseBegin;
-      rec.name = name;
-      rec.start = rec.end = clock_cycles_;
-      critpath_.Append(std::move(rec));
-    }
+  /// Phase bracket, driven by PhaseScope and (with `segment` set) by the
+  /// plan profiler's level segments. The stack is always maintained
+  /// (cheap) and is the one the sanitizer reads; begin/end marker records
+  /// are appended only while the command log is enabled, so the analyzer
+  /// can attribute spans to phases.
+  void BeginPhaseMark(const std::string& name, bool segment = false) {
+    phase_stack_.push_back({name, segment});
+    AppendPhaseMarker(prof::CommandRecord::Kind::kPhaseBegin);
   }
   void EndPhaseMark() {
     if (phase_stack_.empty()) return;
-    if (critpath_.enabled()) {
-      prof::CommandRecord rec;
-      rec.kind = prof::CommandRecord::Kind::kPhaseEnd;
-      rec.name = phase_stack_.back();
-      rec.start = rec.end = clock_cycles_;
-      critpath_.Append(std::move(rec));
-    }
+    AppendPhaseMarker(prof::CommandRecord::Kind::kPhaseEnd);
     phase_stack_.pop_back();
   }
 
-  /// Innermost open phase name, or "" outside every phase.
+  /// Innermost open phase or segment name, or "" outside every phase.
   const std::string& current_phase() const {
     static const std::string kEmpty;
-    return phase_stack_.empty() ? kEmpty : phase_stack_.back();
+    return phase_stack_.empty() ? kEmpty : phase_stack_.back().name;
   }
 
   // -- Streams and events -----------------------------------------------------
@@ -281,17 +269,16 @@ class Device {
   }
 
   /// Rewinds the whole timeline to zero: every stream clock, the PCIe-link
-  /// state, and all time-derived observability state (kernel records,
-  /// timeline events, metrics samples) reset together. A partial rewind —
-  /// the old `clock_cycles_ = 0` — would leave recorder/sampler state
-  /// stamped with timestamps from the abandoned timeline and let them emit
+  /// state, and all time-derived observability state (the command log and
+  /// the metrics samples) reset together. A partial rewind — the old
+  /// `clock_cycles_ = 0` — would leave recorder/sampler state stamped with
+  /// timestamps from the abandoned timeline and let them emit
   /// non-monotonic series afterwards.
   void ResetClock() {
     streams_.Reset();
     clock_cycles_ = 0;
-    trace_recorder_.Clear();
+    critpath_.Clear();
     metrics_.Clear();
-    ClearTrace();
   }
 
   /// Adds host-side (CPU) work to the simulated timeline, e.g. flushing and
@@ -339,42 +326,6 @@ class Device {
   /// Peak device-memory usage including the UM page buffer reservation.
   std::size_t PeakDeviceBytes() const { return memory_.peak_used_bytes(); }
 
-  /// One completed kernel in the (optional) trace.
-  struct KernelRecord {
-    std::string name;
-    std::size_t tasks = 0;
-    double compute_makespan_cycles = 0;
-    double pcie_cycles = 0;
-    double total_cycles = 0;
-  };
-
-  /// Enables per-kernel record keeping (off by default). Records are
-  /// bounded by `trace_capacity()`; overflow is counted in
-  /// `dropped_kernel_records()` rather than growing without limit.
-  void set_trace_enabled(bool enabled) { trace_enabled_ = enabled; }
-  const std::vector<KernelRecord>& kernel_trace() const { return trace_; }
-  uint64_t dropped_kernel_records() const { return dropped_kernel_records_; }
-
-  /// Clears every recorded trace artifact: the kernel-record list, the
-  /// timeline recorder's events, and the gamma-prof command log together,
-  /// so the three views of the same timeline cannot diverge after a
-  /// partial clear.
-  void ClearTrace() {
-    trace_.clear();
-    dropped_kernel_records_ = 0;
-    trace_recorder_.Clear();
-    critpath_.Clear();
-  }
-
-  /// Caps the kernel-record list, the timeline recorder's event buffer,
-  /// and the gamma-prof command log at `capacity` entries each.
-  void set_trace_capacity(std::size_t capacity) {
-    trace_capacity_ = capacity;
-    trace_recorder_.set_capacity(capacity);
-    critpath_.set_capacity(capacity);
-  }
-  std::size_t trace_capacity() const { return trace_capacity_; }
-
   /// Runs `num_tasks` warp tasks through `fn(WarpCtx&, task_id)` on the
   /// default stream. Returns the kernel's simulated cycles (also added to
   /// the clock). `name` labels the kernel in the trace.
@@ -405,19 +356,14 @@ class Device {
     const int slots = std::max(1, params_.num_warp_slots);
     // Min-heap of (finish time, slot) pairs: greedy list scheduling gives
     // the makespan of the warp tasks over the resident-warp slots; the
-    // slot index lets the timeline recorder draw per-slot occupancy.
+    // slot index lets the timeline draw per-slot occupancy.
     using SlotTime = std::pair<double, int>;
     std::priority_queue<SlotTime, std::vector<SlotTime>,
                         std::greater<SlotTime>>
         finish;
     for (int i = 0; i < slots; ++i) finish.push({0.0, i});
-    const bool record_slots = trace_recorder_.enabled();
-    // Per-slot busy intervals, coalesced: adjacent tasks merge into one
-    // run, but a gap (a slot idle between tasks) starts a new run, so the
-    // exported occupancy never paints idle time as busy.
-    std::vector<std::vector<std::pair<double, double>>> slot_runs;
-    if (record_slots) slot_runs.resize(static_cast<std::size_t>(slots));
     const bool record_cmds = critpath_.enabled();
+    const bool record_slots = record_cmds && params_.record_timeline;
     // Per-slot stall cycles split by resource class; the busiest slot's
     // split becomes the kernel's what-if handle (scaling it is scaling the
     // makespan).
@@ -463,21 +409,18 @@ class Device {
         task_max = std::max(task_max, task_cycles);
         task_total += task_cycles;
       }
-      if (record_slots && end > start) {
-        auto& runs = slot_runs[static_cast<std::size_t>(slot)];
-        if (!runs.empty() && runs.back().second == start) {
-          runs.back().second = end;
-        } else {
-          runs.push_back({start, end});
-        }
-      }
     }
     if (sanitizer_ != nullptr) sanitizer_->EndKernel();
     double makespan = 0.0;
     int busiest_slot = 0;
+    std::vector<double> slot_finish;
+    if (record_slots) slot_finish.resize(static_cast<std::size_t>(slots));
     while (!finish.empty()) {
       makespan = finish.top().first;
       busiest_slot = finish.top().second;
+      if (record_slots) {
+        slot_finish[static_cast<std::size_t>(busiest_slot)] = makespan;
+      }
       finish.pop();
     }
     const double work_start = start_cycles + params_.kernel_launch_cycles;
@@ -519,6 +462,7 @@ class Device {
       rec.tasks = num_tasks;
       rec.task_max_cycles = task_max;
       rec.task_total_cycles = task_total;
+      rec.slot_finish = std::move(slot_finish);
       if (pcie_cycles > 0) {
         rec.link_transfer = pcie_cycles;
         rec.link_ready = work_start;
@@ -528,34 +472,26 @@ class Device {
       }
       critpath_.Append(std::move(rec));
     }
-    if (trace_enabled_) {
-      if (trace_.size() < trace_capacity_) {
-        trace_.push_back(
-            {name, num_tasks, makespan, pcie_cycles, kernel_cycles});
-      } else {
-        ++dropped_kernel_records_;
-      }
-    }
-    if (record_slots) {
-      trace_recorder_.RecordSpan(TraceRecorder::Kind::kKernel, name,
-                                 start_cycles, end_cycles, stream);
-      // Slot busy runs start after the launch overhead; they always nest
-      // inside the kernel span.
-      for (int slot = 0; slot < slots; ++slot) {
-        for (const auto& [lo, hi] : slot_runs[static_cast<std::size_t>(slot)]) {
-          trace_recorder_.RecordSpan(TraceRecorder::Kind::kWarpSlot, name,
-                                     work_start + lo, work_start + hi, slot);
-        }
-      }
-    }
     metrics_.MaybeSample(*this);
     return kernel_cycles;
   }
 
  private:
   /// Shared body of the explicit-transfer APIs: link acquisition, clock
-  /// advance, trace span, and the gamma-prof command record.
+  /// advance, and the gamma-prof command record.
   double CopyAsync(StreamId stream, std::size_t bytes, const char* name);
+
+  /// Appends a zero-duration begin/end marker for the innermost open phase
+  /// (a no-op while the log is disabled).
+  void AppendPhaseMarker(prof::CommandRecord::Kind kind) {
+    if (!critpath_.enabled()) return;
+    prof::CommandRecord rec;
+    rec.kind = kind;
+    rec.name = phase_stack_.back().name;
+    rec.segment = phase_stack_.back().segment;
+    rec.start = rec.end = clock_cycles_;
+    critpath_.Append(std::move(rec));
+  }
 
   SimParams params_;
   DeviceMemory memory_;
@@ -563,7 +499,6 @@ class Device {
   UnifiedMemory unified_;
   HostMemoryTracker host_tracker_;
   RunProfile profile_;
-  TraceRecorder trace_recorder_;
   MetricsSampler metrics_;
   DeviceBuffer um_buffer_reservation_;
   std::unique_ptr<HostExecutor> executor_;
@@ -575,13 +510,9 @@ class Device {
   // Cached join of all stream clocks; UnifiedMemory::BindTrace holds a
   // pointer to it for stamping page events.
   double clock_cycles_ = 0;
-  bool trace_enabled_ = false;
-  std::size_t trace_capacity_ = TraceRecorder::kDefaultCapacity;
-  uint64_t dropped_kernel_records_ = 0;
-  std::vector<KernelRecord> trace_;
   prof::CommandLog critpath_;
   int sort_depth_ = 0;
-  std::vector<std::string> phase_stack_;
+  std::vector<OpenPhase> phase_stack_;
 };
 
 /// RAII bracket marking a sort subtree (multi-merge sort and friends):

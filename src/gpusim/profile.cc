@@ -73,19 +73,19 @@ std::string RunProfile::ToJson(const Device& device) const {
   w.EndArray();
 
   w.Key("kernel_trace").BeginArray();
-  for (const Device::KernelRecord& k : device.kernel_trace()) {
+  for (const prof::CommandRecord& k : device.critpath().commands()) {
+    if (k.kind != prof::CommandRecord::Kind::kKernel) continue;
     w.BeginObject();
     w.Key("name").Value(k.name);
     w.Key("tasks").Value(k.tasks);
-    w.Key("compute_makespan_cycles").Value(k.compute_makespan_cycles);
-    w.Key("pcie_cycles").Value(k.pcie_cycles);
-    w.Key("total_cycles").Value(k.total_cycles);
+    w.Key("compute_makespan_cycles").Value(k.makespan);
+    w.Key("pcie_cycles").Value(k.link_transfer);
+    w.Key("total_cycles").Value(k.end - k.start);
     w.EndObject();
   }
   w.EndArray();
-  // Kernel records are bounded by Device::trace_capacity(); overflow is
-  // counted, not silently truncated.
-  w.Key("kernel_trace_dropped").Value(device.dropped_kernel_records());
+  // The log is bounded; its one drop counter reports the overflow.
+  w.Key("kernel_trace_dropped").Value(device.critpath().dropped());
 
   w.EndObject();
   os << '\n';
@@ -98,22 +98,14 @@ PhaseScope::PhaseScope(Device* device, RunProfile* profile, std::string name)
       name_(std::move(name)),
       start_cycles_(device->now_cycles()),
       start_stats_(device->stats().Snapshot()) {
-  // The sanitizer attributes findings to the innermost open phase.
-  if (Sanitizer* san = device_->sanitizer()) san->PushPhase(name_);
-  // gamma-prof attributes command records to the innermost open phase;
-  // the markers let the critpath analyzer rebuild the phase windows.
+  // Commands and sanitizer findings are attributed to the innermost open
+  // phase; the log's markers let the critpath analyzer and the Chrome
+  // trace rebuild the phase windows.
   device_->BeginPhaseMark(name_);
 }
 
 PhaseScope::~PhaseScope() {
   device_->EndPhaseMark();
-  if (Sanitizer* san = device_->sanitizer()) san->PopPhase();
-  // The timeline recorder gets the phase span even when no RunProfile is
-  // attached — the two consumers are independent.
-  if (device_->trace().enabled()) {
-    device_->trace().RecordSpan(TraceRecorder::Kind::kPhase, name_,
-                                start_cycles_, device_->now_cycles());
-  }
   if (profile_ == nullptr) return;
   profile_->Record(name_, device_->now_cycles() - start_cycles_,
                    device_->stats().Diff(start_stats_));

@@ -12,6 +12,14 @@ namespace gpm::gpusim {
 
 class Device;
 
+/// One entry of the Device's open-phase stack (innermost last): a
+/// PhaseScope phase, or a plan-profiler segment (`segment` = true) that
+/// only windows the command log.
+struct OpenPhase {
+  std::string name;
+  bool segment = false;
+};
+
 /// One named slice of a run: simulated cycles spent inside the phase and
 /// the hardware-counter deltas (UM faults/hits, ZC transactions, pool
 /// traffic, ...) attributed to it. Same-named scopes accumulate.
@@ -28,8 +36,8 @@ struct PhaseRecord {
 /// GAMMA's claims are about memory traffic per phase — page faults vs
 /// 128 B zero-copy transactions during extension, pool behaviour during
 /// writes — so the engine records every primitive call here via PhaseScope,
-/// and ToJson() exports the breakdown (plus run totals and the per-kernel
-/// trace) for offline diffing.
+/// and ToJson() exports the breakdown (plus run totals and the kernel
+/// table read from the command log) for offline diffing.
 class RunProfile {
  public:
   /// Merges `cycles` and `delta` into the phase named `name` (created on
@@ -44,8 +52,9 @@ class RunProfile {
   void Clear() { phases_.clear(); }
 
   /// Full JSON document: run totals (clock, counters, peak memory), the
-  /// per-phase breakdown, and the per-kernel trace (empty unless tracing
-  /// was enabled on `device`). Pass the device the phases ran on.
+  /// per-phase breakdown, and the kernel table derived from the device's
+  /// command log (empty unless the log was enabled). Pass the device the
+  /// phases ran on.
   std::string ToJson(const Device& device) const;
 
  private:
@@ -54,8 +63,9 @@ class RunProfile {
 
 /// RAII phase marker: snapshots the device clock and counters at
 /// construction and attributes the difference to `name` in `profile` at
-/// destruction. A null profile skips the RunProfile record; the device's
-/// timeline recorder, when enabled, still gets the phase span either way.
+/// destruction. It also opens the phase on the device's phase stack, so
+/// commands, sanitizer findings, and (while the log is enabled) the
+/// command log's phase markers see it — with or without a profile.
 class PhaseScope {
  public:
   PhaseScope(Device* device, RunProfile* profile, std::string name);

@@ -423,6 +423,14 @@ void Sanitizer::FinalizeLeakCheck() {
   }
 }
 
+std::string Sanitizer::CurrentPhase() const {
+  if (phases_ == nullptr) return std::string();
+  for (auto it = phases_->rbegin(); it != phases_->rend(); ++it) {
+    if (!it->segment) return it->name;
+  }
+  return std::string();
+}
+
 void Sanitizer::AddFinding(Kind kind, const ShadowObject* obj,
                            const std::string& context, std::size_t task,
                            StreamId stream, std::size_t offset,

@@ -8,6 +8,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "gpusim/profile.h"
 #include "gpusim/shadow.h"
 #include "gpusim/stream.h"
 #include "gpusim/unified_memory.h"
@@ -122,6 +123,12 @@ class Sanitizer {
   /// object; Device::EnableSanitizer binds its own clock.
   void BindClock(const double* now_cycles) { now_cycles_ = now_cycles; }
 
+  /// Attributes findings to the innermost open PhaseScope phase of
+  /// `phases` (plan-profiler segments are skipped). The pointer must
+  /// outlive this object; Device::EnableSanitizer binds the device's own
+  /// phase stack.
+  void BindPhases(const std::vector<OpenPhase>* phases) { phases_ = phases; }
+
   // -- Allocation lifetime (DeviceMemory / UnifiedMemory hooks) -------------
 
   void OnAlloc(uint64_t handle, std::size_t bytes, bool baseline = false);
@@ -153,10 +160,6 @@ class Sanitizer {
 
   void BeginKernel(StreamId stream, const char* name);
   void EndKernel();
-  void PushPhase(const std::string& name) { phase_stack_.push_back(name); }
-  void PopPhase() {
-    if (!phase_stack_.empty()) phase_stack_.pop_back();
-  }
 
   /// A non-kernel command (explicit copy) was submitted on `stream`:
   /// advances the stream's vector-clock epoch.
@@ -225,13 +228,12 @@ class Sanitizer {
                   StreamId stream, std::size_t offset, std::size_t bytes,
                   std::string message, const std::string& extra_key = "");
   std::string ObjectName(const ShadowObject* obj) const;
-  std::string CurrentPhase() const {
-    return phase_stack_.empty() ? std::string() : phase_stack_.back();
-  }
+  std::string CurrentPhase() const;
 
   Options options_;
   Activity activity_;
   const double* now_cycles_ = nullptr;
+  const std::vector<OpenPhase>* phases_ = nullptr;
 
   std::unordered_map<uint64_t, ShadowObject> objects_;
   uint64_t next_scratch_ = kScratchHandleBase + 1;
@@ -246,7 +248,6 @@ class Sanitizer {
   bool in_kernel_ = false;
   StreamId kernel_stream_ = kDefaultStream;
   std::string kernel_name_;
-  std::vector<std::string> phase_stack_;
 
   std::vector<Finding> findings_;
   std::unordered_map<std::string, std::size_t> finding_index_;

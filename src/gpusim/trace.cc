@@ -4,7 +4,10 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <string>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "common/json.h"
 
@@ -32,29 +35,31 @@ int StreamTid(int stream) {
   return stream == 0 ? kKernelTid : kStreamTidBase + stream;
 }
 
-bool IsSpan(TraceRecorder::Kind kind) {
-  return kind == TraceRecorder::Kind::kKernel ||
-         kind == TraceRecorder::Kind::kCopy ||
-         kind == TraceRecorder::Kind::kPhase ||
-         kind == TraceRecorder::Kind::kWarpSlot;
+using Instant = prof::InstantRecord::Kind;
+
+const char* InstantName(Instant kind) {
+  switch (kind) {
+    case Instant::kUmFault:
+      return "um-fault";
+    case Instant::kUmHit:
+      return "um-hit";
+    case Instant::kUmEviction:
+      return "um-evict";
+    case Instant::kUmPrefetch:
+      return "um-prefetch";
+    case Instant::kAdaptivity:
+      return "adaptivity-plan";
+  }
+  return "?";
 }
 
-const char* Category(TraceRecorder::Kind kind) {
-  switch (kind) {
-    case TraceRecorder::Kind::kKernel:
-      return "kernel";
-    case TraceRecorder::Kind::kCopy:
-      return "copy";
-    case TraceRecorder::Kind::kPhase:
-      return "phase";
-    case TraceRecorder::Kind::kWarpSlot:
-      return "warp-slot";
-    case TraceRecorder::Kind::kAdaptivity:
-      return "adaptivity";
-    default:
-      return "um";
-  }
-}
+// One span read off the log, in [begin, end] cycles on a (pid, tid) track.
+struct Span {
+  const char* cat;
+  std::string_view name;
+  double begin;
+  double end;
+};
 
 // One emitted Chrome event ("B", "E", or "i") awaiting per-track ordering.
 struct EmitEvent {
@@ -67,7 +72,8 @@ struct EmitEvent {
   // (innermost span first).
   double tie;
   char ph;
-  const TraceRecorder::Event* event;
+  const Span* span;                     // "B"/"E"
+  const prof::InstantRecord* instant;  // "i"
 };
 
 bool EmitOrder(const EmitEvent& a, const EmitEvent& b) {
@@ -78,95 +84,77 @@ bool EmitOrder(const EmitEvent& a, const EmitEvent& b) {
 
 }  // namespace
 
-const char* TraceKindName(TraceRecorder::Kind kind) {
-  switch (kind) {
-    case TraceRecorder::Kind::kKernel:
-      return "kernel";
-    case TraceRecorder::Kind::kCopy:
-      return "copy";
-    case TraceRecorder::Kind::kPhase:
-      return "phase";
-    case TraceRecorder::Kind::kWarpSlot:
-      return "warp-slot";
-    case TraceRecorder::Kind::kUmFault:
-      return "um-fault";
-    case TraceRecorder::Kind::kUmHit:
-      return "um-hit";
-    case TraceRecorder::Kind::kUmEviction:
-      return "um-evict";
-    case TraceRecorder::Kind::kUmPrefetch:
-      return "um-prefetch";
-    case TraceRecorder::Kind::kAdaptivity:
-      return "adaptivity-plan";
-  }
-  return "?";
-}
-
-bool TraceRecorder::Admit() {
-  if (events_.size() >= capacity_) {
-    ++dropped_;
-    return false;
-  }
-  return true;
-}
-
-void TraceRecorder::RecordSpan(Kind kind, std::string_view name,
-                               double begin_cycles, double end_cycles,
-                               int track) {
-  if (!enabled_ || !Admit()) return;
-  events_.push_back(Event{kind, std::string(name), begin_cycles,
-                          end_cycles, track, 0, 0});
-}
-
-void TraceRecorder::RecordUmEvent(Kind kind, double ts_cycles,
-                                  uint32_t region, uint64_t page) {
-  if (!enabled_ || !Admit()) return;
-  events_.push_back(Event{kind, std::string(), ts_cycles, ts_cycles, 0,
-                          region, page});
-}
-
-std::string TraceRecorder::ToChromeTraceJson(const SimParams& params) const {
+std::string ToChromeTraceJson(const prof::CommandLog& log,
+                              const SimParams& params) {
+  using Kind = prof::CommandRecord::Kind;
   auto to_us = [&params](double cycles) {
     return params.CyclesToSeconds(cycles) * 1e6;
   };
 
-  // Bucket events per (pid, tid) track, splitting spans into B/E pairs.
-  std::map<std::pair<int, int>, std::vector<EmitEvent>> tracks;
+  // Read the spans off the log in log order, which is each track's
+  // recording order.
+  std::vector<std::pair<std::pair<int, int>, Span>> spans;
   std::set<int> slot_tids;
   std::set<int> stream_tids;  // non-default streams needing a thread name
-  bool has_adaptivity = false;
-  for (const Event& ev : events_) {
-    std::pair<int, int> track;
-    switch (ev.kind) {
+  std::vector<const prof::CommandRecord*> open_phases;
+  for (const prof::CommandRecord& rec : log.commands()) {
+    switch (rec.kind) {
       case Kind::kKernel:
-      case Kind::kCopy:
-        track = {kDevicePid, StreamTid(ev.track)};
-        if (ev.track != 0) stream_tids.insert(ev.track);
+      case Kind::kCopy: {
+        const bool kernel = rec.kind == Kind::kKernel;
+        spans.push_back({{kDevicePid, StreamTid(rec.stream)},
+                         {kernel ? "kernel" : "copy", rec.name, rec.start,
+                          rec.end}});
+        if (rec.stream != kDefaultStream) stream_tids.insert(rec.stream);
+        // Slot runs start after the launch overhead; they always nest
+        // inside the kernel span.
+        const double work_start = rec.start + rec.launch_cycles;
+        for (std::size_t s = 0; s < rec.slot_finish.size(); ++s) {
+          if (rec.slot_finish[s] <= 0) continue;
+          const int slot = static_cast<int>(s);
+          slot_tids.insert(slot);
+          spans.push_back({{kWarpSlotPid, slot},
+                           {"warp-slot", rec.name, work_start,
+                            work_start + rec.slot_finish[s]}});
+        }
         break;
-      case Kind::kPhase:
-        track = {kDevicePid, kPhaseTid};
+      }
+      case Kind::kPhaseBegin:
+        open_phases.push_back(&rec);
         break;
-      case Kind::kWarpSlot:
-        track = {kWarpSlotPid, ev.track};
-        slot_tids.insert(ev.track);
+      case Kind::kPhaseEnd: {
+        // A log enabled mid-phase holds ends without begins.
+        if (open_phases.empty()) break;
+        const prof::CommandRecord* begin = open_phases.back();
+        open_phases.pop_back();
+        if (!rec.segment) {
+          spans.push_back({{kDevicePid, kPhaseTid},
+                           {"phase", rec.name, begin->start, rec.start}});
+        }
         break;
-      case Kind::kAdaptivity:
-        track = {kAdaptivityPid, kAdaptivityTid};
-        has_adaptivity = true;
-        break;
+      }
       default:
-        track = {kDevicePid, kUmTid};
         break;
     }
+  }
+
+  // Bucket events per (pid, tid) track, splitting spans into B/E pairs.
+  std::map<std::pair<int, int>, std::vector<EmitEvent>> tracks;
+  for (const auto& [track, span] : spans) {
     std::vector<EmitEvent>& out = tracks[track];
-    if (IsSpan(ev.kind)) {
-      const bool zero_length = ev.end_cycles <= ev.begin_cycles;
-      out.push_back({ev.begin_cycles, 2, -ev.end_cycles, 'B', &ev});
-      out.push_back(
-          {ev.end_cycles, zero_length ? 3 : 0, -ev.begin_cycles, 'E', &ev});
-    } else {
-      out.push_back({ev.begin_cycles, 1, 0.0, 'i', &ev});
+    const bool zero_length = span.end <= span.begin;
+    out.push_back({span.begin, 2, -span.end, 'B', &span, nullptr});
+    out.push_back(
+        {span.end, zero_length ? 3 : 0, -span.begin, 'E', &span, nullptr});
+  }
+  bool has_adaptivity = false;
+  for (const prof::InstantRecord& ev : log.instants()) {
+    std::pair<int, int> track{kDevicePid, kUmTid};
+    if (ev.kind == Instant::kAdaptivity) {
+      track = {kAdaptivityPid, kAdaptivityTid};
+      has_adaptivity = true;
     }
+    tracks[track].push_back({ev.ts, 1, 0.0, 'i', nullptr, &ev});
   }
 
   std::ostringstream os;
@@ -176,8 +164,8 @@ std::string TraceRecorder::ToChromeTraceJson(const SimParams& params) const {
   w.Key("otherData").BeginObject();
   w.Key("schema").Value("gamma.trace.v1");
   w.Key("clock_ghz").Value(params.clock_ghz);
-  w.Key("capacity").Value(capacity_);
-  w.Key("dropped_events").Value(dropped_);
+  w.Key("capacity").Value(log.capacity());
+  w.Key("dropped_events").Value(log.dropped());
   w.EndObject();
 
   w.Key("traceEvents").BeginArray();
@@ -215,21 +203,22 @@ std::string TraceRecorder::ToChromeTraceJson(const SimParams& params) const {
   for (auto& [track, emits] : tracks) {
     std::stable_sort(emits.begin(), emits.end(), EmitOrder);
     for (const EmitEvent& e : emits) {
-      const Event& ev = *e.event;
       w.BeginObject();
       w.Key("ph").Value(std::string_view(&e.ph, 1));
       w.Key("ts").Value(to_us(e.ts));
       w.Key("pid").Value(track.first);
       w.Key("tid").Value(track.second);
-      if (e.ph != 'E') {
-        w.Key("name").Value(e.ph == 'i' ? TraceKindName(ev.kind)
-                                        : std::string_view(ev.name));
-        w.Key("cat").Value(Category(ev.kind));
-      }
-      if (e.ph == 'i') {
+      if (e.ph == 'B') {
+        w.Key("name").Value(e.span->name);
+        w.Key("cat").Value(e.span->cat);
+      } else if (e.ph == 'i') {
+        const prof::InstantRecord& ev = *e.instant;
+        const bool adaptivity = ev.kind == Instant::kAdaptivity;
+        w.Key("name").Value(InstantName(ev.kind));
+        w.Key("cat").Value(adaptivity ? "adaptivity" : "um");
         w.Key("s").Value("t");
         w.Key("args").BeginObject();
-        if (ev.kind == Kind::kAdaptivity) {
+        if (adaptivity) {
           // The region/page slots carry the decision payload instead.
           w.Key("extension").Value(ev.region);
           w.Key("unified_pages").Value(ev.page);

@@ -1,124 +1,36 @@
 #ifndef GAMMA_GPUSIM_TRACE_H_
 #define GAMMA_GPUSIM_TRACE_H_
 
-#include <cstddef>
-#include <cstdint>
 #include <string>
-#include <string_view>
-#include <vector>
 
+#include "gpusim/critpath.h"
 #include "gpusim/sim_params.h"
 
 namespace gpm::gpusim {
 
-/// Bounded timeline recorder for the simulated device.
+/// Renders the command log's timeline as a Chrome trace-event JSON
+/// document (`gamma.trace.v1`), loadable in Perfetto (ui.perfetto.dev) or
+/// chrome://tracing.
 ///
-/// Where `DeviceStats` answers *how much* (aggregate counters) and
-/// `RunProfile` answers *which phase* (per-phase deltas), the TraceRecorder
-/// answers *when*: it records begin/end events in simulated cycles for
-/// kernels, RunProfile phases, per-warp-slot occupancy, and unified-memory
-/// page-buffer events (fault / hit / eviction / prefetch with page ids).
-/// `ToChromeTraceJson()` renders the buffer as Chrome trace-event JSON,
-/// loadable in Perfetto (ui.perfetto.dev) or chrome://tracing, with
-/// kernels, phases, UM page events, and each warp slot as separate tracks.
+/// Where `DeviceStats` answers *how much* and `RunProfile` answers *which
+/// phase*, the timeline answers *when*. It is a view computed after the
+/// run, never a second recorder:
+///  - kernel and copy spans come from kKernel/kCopy records. Default-stream
+///    spans land on the classic "kernels" track; each further stream gets
+///    its own "stream N" track, so overlapped work renders as parallel
+///    lanes;
+///  - phase spans come from PhaseScope begin/end markers (plan-profiler
+///    segment markers are skipped), each emitted at its end marker;
+///  - each warp slot's busy run `work_start + [0, slot_finish[s]]` comes
+///    from the kernel record, when the timeline was armed;
+///  - UM page events and adaptivity decisions come from the log's
+///    instants, with region/page (or extension/unified_pages) args.
 ///
-/// The buffer is bounded: once `capacity()` events are stored, further
-/// events are dropped and counted in `dropped_events()` (the earliest
-/// events win, so a truncated trace still starts at t=0 and every stored
-/// span is complete). Recording is off by default; enabling it costs one
-/// branch per event source when idle.
-class TraceRecorder {
- public:
-  /// Default event bound: enough for every kernel/phase/slot span plus the
-  /// UM page events of a mid-sized run, ~10 MB worst case.
-  static constexpr std::size_t kDefaultCapacity = 1u << 16;
-
-  enum class Kind : uint8_t {
-    kKernel,      // one kernel launch (span)
-    kCopy,        // one explicit PCIe transfer (span)
-    kPhase,       // one PhaseScope (span)
-    kWarpSlot,    // one slot's busy interval inside a kernel (span)
-    kUmFault,     // page fault + migration (instant, region/page)
-    kUmHit,       // access to a resident page (instant, region/page)
-    kUmEviction,  // LRU eviction from the page buffer (instant)
-    kUmPrefetch,  // bulk migration without fault penalty (instant)
-    kAdaptivity,  // one hybrid placement decision (instant; see below)
-  };
-
-  /// One recorded event. Spans use [begin_cycles, end_cycles]; instants
-  /// have begin == end. `track` is the warp-slot index for kWarpSlot and
-  /// the stream id for kKernel/kCopy (each stream renders as its own
-  /// thread in the Chrome export); `region`/`page` identify the page for
-  /// UM events.
-  struct Event {
-    Kind kind;
-    std::string name;
-    double begin_cycles = 0;
-    double end_cycles = 0;
-    int track = 0;
-    uint32_t region = 0;
-    uint64_t page = 0;
-  };
-
-  explicit TraceRecorder(std::size_t capacity = kDefaultCapacity)
-      : capacity_(capacity) {}
-
-  TraceRecorder(const TraceRecorder&) = delete;
-  TraceRecorder& operator=(const TraceRecorder&) = delete;
-
-  bool enabled() const { return enabled_; }
-  void set_enabled(bool enabled) { enabled_ = enabled; }
-
-  std::size_t capacity() const { return capacity_; }
-  void set_capacity(std::size_t capacity) { capacity_ = capacity; }
-
-  const std::vector<Event>& events() const { return events_; }
-  uint64_t dropped_events() const { return dropped_; }
-
-  void Clear() {
-    events_.clear();
-    dropped_ = 0;
-  }
-
-  /// Records a completed span. No-op (uncounted) while disabled; counted
-  /// as dropped when the buffer is full.
-  void RecordSpan(Kind kind, std::string_view name, double begin_cycles,
-                  double end_cycles, int track = 0);
-
-  /// Records an instantaneous unified-memory page event at `ts_cycles`.
-  void RecordUmEvent(Kind kind, double ts_cycles, uint32_t region,
-                     uint64_t page);
-
-  /// Records one per-extension placement decision of the adaptive hybrid
-  /// at `ts_cycles` on the dedicated "adaptivity" track: `extension` is
-  /// the 1-based extension index, `unified_pages` the N_u pages the plan
-  /// flagged for unified access. Reuses the Event region/page slots.
-  void RecordAdaptivity(double ts_cycles, uint32_t extension,
-                        uint64_t unified_pages) {
-    RecordUmEvent(Kind::kAdaptivity, ts_cycles, extension, unified_pages);
-  }
-
-  /// Renders the buffer as a Chrome trace-event JSON document
-  /// (`gamma.trace.v1`). Timestamps convert from cycles to microseconds
-  /// via `params`; `dropped_events` and the capacity are reported in
-  /// `otherData`. Kernel, copy, and phase spans are emitted as balanced
-  /// "B"/"E" pairs per track, UM page events as instants with region/page
-  /// args. Kernel/copy spans from the default stream land on the classic
-  /// "kernels" track; each further stream gets its own "stream N" track,
-  /// so overlapped work renders as parallel lanes in Perfetto.
-  std::string ToChromeTraceJson(const SimParams& params) const;
-
- private:
-  bool Admit();
-
-  bool enabled_ = false;
-  std::size_t capacity_;
-  uint64_t dropped_ = 0;
-  std::vector<Event> events_;
-};
-
-/// Human-readable name of an event kind ("kernel", "um-fault", ...).
-const char* TraceKindName(TraceRecorder::Kind kind);
+/// Spans are emitted as balanced "B"/"E" pairs per track. Timestamps
+/// convert from cycles to microseconds via `params`; the log's one
+/// capacity and drop counter are reported in `otherData`.
+std::string ToChromeTraceJson(const prof::CommandLog& log,
+                              const SimParams& params);
 
 }  // namespace gpm::gpusim
 

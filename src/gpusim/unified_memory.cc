@@ -4,8 +4,8 @@
 
 #include "common/logging.h"
 #include "gpusim/access_observer.h"
+#include "gpusim/critpath.h"
 #include "gpusim/sanitizer.h"
-#include "gpusim/trace.h"
 
 namespace gpm::gpusim {
 
@@ -13,14 +13,20 @@ namespace {
 
 constexpr uint64_t kPageMask = (uint64_t{1} << 48) - 1;
 
-// Emits one page-level timeline event when a recorder is bound and
-// enabled. The timestamp has kernel-boundary resolution: all events of
-// one kernel share its start time.
-void TracePage(TraceRecorder* trace, const double* now_cycles,
-               TraceRecorder::Kind kind, uint32_t region, uint64_t page) {
-  if (trace == nullptr || !trace->enabled()) return;
-  trace->RecordUmEvent(kind, now_cycles != nullptr ? *now_cycles : 0.0,
-                       region, page);
+using Instant = prof::InstantRecord::Kind;
+
+// Emits one page-level timeline instant when a log is bound. The timestamp
+// has kernel-boundary resolution: all events of one kernel share its start
+// time.
+void TracePage(prof::CommandLog* log, const double* now_cycles,
+               Instant kind, uint32_t region, uint64_t page) {
+  if (log == nullptr) return;
+  prof::InstantRecord rec;
+  rec.kind = kind;
+  rec.ts = now_cycles != nullptr ? *now_cycles : 0.0;
+  rec.region = region;
+  rec.page = page;
+  log->AppendInstant(rec);
 }
 
 }  // namespace
@@ -65,8 +71,7 @@ std::size_t UnifiedMemory::PrefetchPage(RegionId region,
   }
   InsertPage(key);
   stats_->um_migrated_bytes += params_.um_page_bytes;
-  TracePage(trace_, now_cycles_, TraceRecorder::Kind::kUmPrefetch, region,
-            page);
+  TracePage(trace_, now_cycles_, Instant::kUmPrefetch, region, page);
   return params_.um_page_bytes;
 }
 
@@ -99,7 +104,7 @@ void UnifiedMemory::InsertPage(uint64_t key) {
     resident_.erase(victim);
     lru_.pop_back();
     ++stats_->um_evictions;
-    TracePage(trace_, now_cycles_, TraceRecorder::Kind::kUmEviction,
+    TracePage(trace_, now_cycles_, Instant::kUmEviction,
               static_cast<RegionId>(victim >> 48), victim & kPageMask);
   }
   lru_.push_front(key);
@@ -130,7 +135,7 @@ AccessCharge UnifiedMemory::Access(RegionId region, std::size_t offset,
                            static_cast<double>(span) /
                                params_.device_bytes_per_cycle;
       Touch(key);
-      TracePage(trace_, now_cycles_, TraceRecorder::Kind::kUmHit, region, p);
+      TracePage(trace_, now_cycles_, Instant::kUmHit, region, p);
     } else {
       // Page fault: fault handling plus whole-page migration.
       ++stats_->um_page_faults;
@@ -142,8 +147,7 @@ AccessCharge UnifiedMemory::Access(RegionId region, std::size_t offset,
                              static_cast<double>(page_bytes) /
                                  params_.pcie_bytes_per_cycle;
       charge.pcie_bytes += page_bytes;
-      TracePage(trace_, now_cycles_, TraceRecorder::Kind::kUmFault, region,
-                p);
+      TracePage(trace_, now_cycles_, Instant::kUmFault, region, p);
       InsertPage(key);
     }
   }

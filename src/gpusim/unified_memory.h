@@ -10,11 +10,14 @@
 #include "gpusim/sim_params.h"
 #include "gpusim/stats.h"
 
+namespace gpm::prof {
+class CommandLog;
+}  // namespace gpm::prof
+
 namespace gpm::gpusim {
 
 class AccessObserver;
 class Sanitizer;
-class TraceRecorder;
 
 /// Charge produced by a memory access: warp stall cycles plus bytes that
 /// must cross the PCIe link (added to the current kernel's link traffic).
@@ -54,12 +57,12 @@ class UnifiedMemory {
   UnifiedMemory(const UnifiedMemory&) = delete;
   UnifiedMemory& operator=(const UnifiedMemory&) = delete;
 
-  /// Routes page-level fault/hit/eviction/prefetch events to `trace`,
-  /// timestamped by `*now_cycles` (the owning device's clock). Both
-  /// pointers must outlive this object; the Device wires this up at
-  /// construction.
-  void BindTrace(TraceRecorder* trace, const double* now_cycles) {
-    trace_ = trace;
+  /// Routes page-level fault/hit/eviction/prefetch events to `log` as
+  /// instants, timestamped by `*now_cycles` (the owning device's clock).
+  /// Both pointers must outlive this object; the Device wires this up at
+  /// construction when the timeline is armed.
+  void BindTrace(prof::CommandLog* log, const double* now_cycles) {
+    trace_ = log;
     now_cycles_ = now_cycles;
   }
 
@@ -124,7 +127,7 @@ class UnifiedMemory {
   DeviceStats* stats_;
   AccessObserver* observer_ = nullptr;
   Sanitizer* sanitizer_ = nullptr;
-  TraceRecorder* trace_ = nullptr;
+  prof::CommandLog* trace_ = nullptr;
   const double* now_cycles_ = nullptr;
   std::size_t capacity_pages_;
   RegionId next_region_ = 1;

@@ -9,6 +9,7 @@
 // weaker tests but undercounts the paper's central quantity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/adaptive_access.h"
@@ -234,8 +235,8 @@ TEST(EngineProfileTest, PhasesAttributeTrafficAndExportJson) {
   gpusim::SimParams params;
   params.device_memory_bytes = 8 << 20;
   params.um_device_buffer_bytes = 512 << 10;
+  params.record_commands = true;
   gpusim::Device device(params);
-  device.set_trace_enabled(true);
   GammaEngine engine(&device, &g, {});
   ASSERT_TRUE(engine.Prepare().ok());
   auto t = engine.InitVertexTable();
@@ -275,8 +276,12 @@ TEST(EngineProfileTest, PhasesAttributeTrafficAndExportJson) {
   EXPECT_NE(json.find("\"phases\""), std::string::npos);
   EXPECT_NE(json.find("\"vertex-extension\""), std::string::npos);
   EXPECT_NE(json.find("\"kernel_trace\""), std::string::npos);
-  // Tracing was on, so the trace array carries named kernel records.
-  EXPECT_FALSE(device.kernel_trace().empty());
+  // The command log was on, so the trace array carries named kernel
+  // records.
+  const auto& cmds = device.critpath().commands();
+  EXPECT_TRUE(std::any_of(cmds.begin(), cmds.end(), [](const auto& rec) {
+    return rec.kind == prof::CommandRecord::Kind::kKernel;
+  }));
   EXPECT_NE(json.find("\"compute_makespan_cycles\""), std::string::npos);
 }
 

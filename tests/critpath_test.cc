@@ -78,8 +78,28 @@ TEST(CommandLogTest, CapacityDropsAndCountsExactly) {
 TEST(CommandLogTest, DisabledRecordsNothing) {
   CommandLog log;
   EXPECT_EQ(log.Append(HostWork(0, 10)), -1);
+  log.AppendInstant(InstantRecord{});
   EXPECT_TRUE(log.commands().empty());
+  EXPECT_TRUE(log.instants().empty());
   EXPECT_EQ(log.dropped(), 0u);  // disabled != dropped
+}
+
+// Commands and timeline instants share the one capacity and the one drop
+// counter.
+TEST(CommandLogTest, InstantsShareTheCapacity) {
+  CommandLog log;
+  log.set_enabled(true);
+  log.set_capacity(4);
+  for (int i = 0; i < 3; ++i) log.Append(HostWork(i, 1));
+  log.AppendInstant(InstantRecord{});
+  log.AppendInstant(InstantRecord{});
+  EXPECT_EQ(log.Append(HostWork(3, 1)), -1);
+  EXPECT_EQ(log.commands().size(), 3u);
+  EXPECT_EQ(log.instants().size(), 1u);
+  EXPECT_EQ(log.dropped(), 2u);
+  log.Clear();
+  EXPECT_TRUE(log.instants().empty());
+  EXPECT_EQ(log.dropped(), 0u);
 }
 
 TEST(CritpathAnalyzeTest, RejectsForwardWaitEdge) {
@@ -191,16 +211,27 @@ TEST(CritpathAnalyzeTest, PartialLogSuppressesWhatIfs) {
   EXPECT_TRUE(analyzed.value().whatifs.empty());
 }
 
-TEST(CritpathAnalyzeTest, ExtraDroppedAlsoMarksPartial) {
-  CommandLog log;
-  log.set_enabled(true);
-  log.Append(HostWork(0, 10));
-  AnalyzeOptions options;
-  options.extra_dropped = 3;  // e.g. kernel_trace_dropped > 0
-  auto analyzed = Analyze(log, options);
-  ASSERT_TRUE(analyzed.ok());
-  EXPECT_TRUE(analyzed.value().partial);
-  EXPECT_TRUE(analyzed.value().whatifs.empty());
+// Regression: with the log the only recorder, a run past 2^16 kernels
+// whose log is complete is analyzed as complete — no second bounded
+// kernel list can mark it partial or suppress the what-ifs.
+TEST(CritpathDeviceTest, ManyKernelsWithCompleteLogAreNotPartial) {
+  gpusim::SimParams p = RecordingParams();
+  p.record_timeline = true;
+  p.num_warp_slots = 1;  // keep the per-slot vectors small
+  gpusim::Device device(p);
+  for (int i = 0; i < 70000; ++i) {
+    device.LaunchKernel(1, [](gpusim::WarpCtx& w, std::size_t) {
+      w.ChargeCompute(1);
+    });
+  }
+  ASSERT_EQ(device.critpath().dropped(), 0u);
+  auto analyzed = Analyze(device);
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  const CritpathReport& report = analyzed.value();
+  EXPECT_FALSE(report.partial);
+  EXPECT_EQ(report.dropped_commands, 0u);
+  EXPECT_FALSE(report.whatifs.empty());
+  EXPECT_EQ(report.critical_path_cycles, device.now_cycles());
 }
 
 /// Runs triangle counting through the engine on a recording device and

@@ -5,8 +5,8 @@
 //    address- or hash-order-dependent arithmetic), and
 //  * running warp tasks on a host thread pool (SimParams::host_threads)
 //    changes nothing: the record/replay executor must reproduce the
-//    serial schedule's counters and cycles bit-for-bit, whatever
-//    interleaving the pool picked.
+//    serial schedule's counters, cycles and recorded timeline instants
+//    (UM page events) bit-for-bit, whatever interleaving the pool picked.
 //
 // Also pins the stream attribution of count-only extension kernels: they
 // launch on the pipeline's compute stream like every other extension
@@ -16,6 +16,7 @@
 
 #include <set>
 #include <string>
+#include <vector>
 
 #include "algos/fpm.h"
 #include "algos/kclique.h"
@@ -29,11 +30,12 @@
 namespace gpm {
 namespace {
 
-gpusim::SimParams TestParams(int host_threads) {
+gpusim::SimParams TestParams(int host_threads, bool timeline = false) {
   gpusim::SimParams p;
   p.device_memory_bytes = 16 << 20;
   p.um_device_buffer_bytes = 2 << 20;
   p.host_threads = host_threads;
+  p.record_timeline = timeline;
   return p;
 }
 
@@ -64,12 +66,15 @@ const char* AlgoName(Algo a) {
 struct RunOutcome {
   gpusim::DeviceStats stats;
   double cycles = 0;
+  std::vector<prof::InstantRecord> instants;  // empty unless timeline on
+  uint64_t dropped = 0;
 };
 
 // Runs one algorithm end-to-end on a fresh device and returns the final
-// counters and clock.
-RunOutcome RunAlgo(Algo algo, const graph::Graph& g, int host_threads) {
-  gpusim::Device device(TestParams(host_threads));
+// counters, clock and (with `timeline`) the log's instant list.
+RunOutcome RunAlgo(Algo algo, const graph::Graph& g, int host_threads,
+                   bool timeline = false) {
+  gpusim::Device device(TestParams(host_threads, timeline));
   core::GammaEngine engine(&device, &g, {});
   EXPECT_TRUE(engine.Prepare().ok());
   switch (algo) {
@@ -92,7 +97,8 @@ RunOutcome RunAlgo(Algo algo, const graph::Graph& g, int host_threads) {
       break;
     }
   }
-  return {device.stats().Snapshot(), device.now_cycles()};
+  return {device.stats().Snapshot(), device.now_cycles(),
+          device.critpath().instants(), device.critpath().dropped()};
 }
 
 void ExpectBitIdentical(const RunOutcome& a, const RunOutcome& b,
@@ -104,6 +110,16 @@ void ExpectBitIdentical(const RunOutcome& a, const RunOutcome& b,
   // Exact double equality on purpose: the determinism contract is
   // bit-identity of the cycle arithmetic, not closeness.
   EXPECT_EQ(a.cycles, b.cycles) << label << ": clock diverged";
+  EXPECT_EQ(a.dropped, b.dropped) << label << ": log drops diverged";
+  ASSERT_EQ(a.instants.size(), b.instants.size())
+      << label << ": instant count diverged";
+  for (std::size_t i = 0; i < a.instants.size(); ++i) {
+    const prof::InstantRecord& x = a.instants[i];
+    const prof::InstantRecord& y = b.instants[i];
+    ASSERT_TRUE(x.kind == y.kind && x.ts == y.ts && x.region == y.region &&
+                x.page == y.page)
+        << label << ": instant " << i << " diverged";
+  }
 }
 
 TEST(DeterminismTest, DoubleRunIsBitIdentical) {
@@ -123,6 +139,13 @@ TEST(DeterminismTest, HostThreadPoolIsBitIdentical) {
     RunOutcome pooled = RunAlgo(algo, g, /*host_threads=*/4);
     ExpectBitIdentical(serial, pooled,
                        std::string(AlgoName(algo)) + " 1 vs 4 host threads");
+    // The timeline's instants are replayed in task order too.
+    serial = RunAlgo(algo, g, /*host_threads=*/1, /*timeline=*/true);
+    pooled = RunAlgo(algo, g, /*host_threads=*/4, /*timeline=*/true);
+    EXPECT_EQ(serial.dropped, 0u);
+    EXPECT_FALSE(serial.instants.empty());
+    ExpectBitIdentical(serial, pooled, std::string(AlgoName(algo)) +
+                                           " timeline 1 vs 4 host threads");
   }
 }
 
@@ -132,8 +155,9 @@ TEST(DeterminismTest, HostThreadPoolIsBitIdentical) {
 // and trace attribution relative to the materializing strategies.
 TEST(DeterminismTest, CountOnlyExtensionRunsOnComputeStream) {
   graph::Graph g = TestGraph();
-  gpusim::Device device(TestParams(/*host_threads=*/1));
-  device.trace().set_enabled(true);
+  gpusim::SimParams params = TestParams(/*host_threads=*/1);
+  params.record_commands = true;
+  gpusim::Device device(params);
   core::GammaOptions options;
   options.extension.num_streams = 2;
   core::GammaEngine engine(&device, &g, options);
@@ -142,10 +166,11 @@ TEST(DeterminismTest, CountOnlyExtensionRunsOnComputeStream) {
 
   std::set<int> count_only_tracks;
   std::set<int> materializing_tracks;
-  for (const auto& e : device.trace().events()) {
-    if (e.kind != gpusim::TraceRecorder::Kind::kKernel) continue;
-    if (e.name == "extension-count-only") count_only_tracks.insert(e.track);
-    if (e.name == "extension-dynamic") materializing_tracks.insert(e.track);
+  // Each kernel's stream is the Chrome trace track it renders on.
+  for (const prof::CommandRecord& e : device.critpath().commands()) {
+    if (e.kind != prof::CommandRecord::Kind::kKernel) continue;
+    if (e.name == "extension-count-only") count_only_tracks.insert(e.stream);
+    if (e.name == "extension-dynamic") materializing_tracks.insert(e.stream);
   }
   ASSERT_FALSE(count_only_tracks.empty());
   ASSERT_FALSE(materializing_tracks.empty());

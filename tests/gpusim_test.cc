@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "gpusim/device.h"
 #include "gpusim/host_array.h"
@@ -267,23 +268,37 @@ TEST(HostArrayTest, ReadReturnsLiveData) {
   EXPECT_GT(device.stats().um_page_faults, 0u);
 }
 
+// The kernel table (--trace, the profile's kernel_trace) is the command
+// log's kKernel records.
+std::vector<const prof::CommandRecord*> KernelRecords(const Device& device) {
+  std::vector<const prof::CommandRecord*> kernels;
+  for (const prof::CommandRecord& rec : device.critpath().commands()) {
+    if (rec.kind == prof::CommandRecord::Kind::kKernel) {
+      kernels.push_back(&rec);
+    }
+  }
+  return kernels;
+}
+
 TEST(DeviceTest, TraceRecordsNamedKernels) {
-  Device device(SmallParams());
-  device.set_trace_enabled(true);
+  SimParams params = SmallParams();
+  params.record_commands = true;
+  Device device(params);
   device.LaunchKernel(3, [](WarpCtx& w, std::size_t) {
     w.ChargeCompute(100);
   }, "alpha");
   device.LaunchKernel(1, [](WarpCtx& w, std::size_t) {
     w.ZeroCopyRead(1024);
   }, "beta");
-  ASSERT_EQ(device.kernel_trace().size(), 2u);
-  EXPECT_EQ(device.kernel_trace()[0].name, "alpha");
-  EXPECT_EQ(device.kernel_trace()[0].tasks, 3u);
-  EXPECT_GT(device.kernel_trace()[0].total_cycles, 0.0);
-  EXPECT_EQ(device.kernel_trace()[1].name, "beta");
-  EXPECT_GT(device.kernel_trace()[1].pcie_cycles, 0.0);
-  device.ClearTrace();
-  EXPECT_TRUE(device.kernel_trace().empty());
+  const auto kernels = KernelRecords(device);
+  ASSERT_EQ(kernels.size(), 2u);
+  EXPECT_EQ(kernels[0]->name, "alpha");
+  EXPECT_EQ(kernels[0]->tasks, 3u);
+  EXPECT_GT(kernels[0]->end - kernels[0]->start, 0.0);
+  EXPECT_EQ(kernels[1]->name, "beta");
+  EXPECT_GT(kernels[1]->link_transfer, 0.0);
+  device.critpath().Clear();
+  EXPECT_TRUE(KernelRecords(device).empty());
 }
 
 TEST(DeviceTest, TraceOffByDefault) {
@@ -291,7 +306,7 @@ TEST(DeviceTest, TraceOffByDefault) {
   device.LaunchKernel(1, [](WarpCtx& w, std::size_t) {
     w.ChargeCompute(1);
   });
-  EXPECT_TRUE(device.kernel_trace().empty());
+  EXPECT_TRUE(KernelRecords(device).empty());
 }
 
 TEST(SimParamsTest, PresetsAreConsistent) {
@@ -417,7 +432,7 @@ TEST(ProfileTest, NullProfileScopeIsNoOp) {
 
 TEST(ProfileTest, ToJsonCarriesTotalsPhasesAndTrace) {
   Device device(SmallParams());
-  device.set_trace_enabled(true);
+  device.critpath().set_enabled(true);
   {
     PhaseScope scope(&device, &device.profile(), "alpha");
     device.LaunchKernel(2, [](WarpCtx& w, std::size_t) {

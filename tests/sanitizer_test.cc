@@ -308,6 +308,42 @@ TEST(SanitizerReportTest, PhaseScopeAttribution) {
   device.memory().Free(id.value());
 }
 
+// The sanitizer reads the device's phase stack instead of mirroring it, so
+// a phase opened before the sanitizer was attached still attributes.
+TEST(SanitizerReportTest, EnabledInsideOpenPhaseAttributesToIt) {
+  Device device(SmallParams());
+  PhaseScope phase(&device, &device.profile(), "already-open");
+  Sanitizer* san = EnableAll(device)->sanitizer();
+  auto id = device.memory().Allocate(64);
+  ASSERT_TRUE(id.ok());
+  device.LaunchKernel(
+      1, [&](WarpCtx& w, std::size_t) { w.DeviceRead(id.value(), 64, 8); },
+      "oob");
+  ASSERT_EQ(san->findings().size(), 1u);
+  EXPECT_EQ(san->findings()[0].phase, "already-open");
+  device.memory().Free(id.value());
+}
+
+// Plan-profiler segments window the command log but are not phases: a
+// finding inside one names the enclosing PhaseScope.
+TEST(SanitizerReportTest, SegmentMarkersAreNotPhases) {
+  Device device(SmallParams());
+  Sanitizer* san = EnableAll(device)->sanitizer();
+  auto id = device.memory().Allocate(64);
+  ASSERT_TRUE(id.ok());
+  {
+    PhaseScope phase(&device, &device.profile(), "outer-phase");
+    device.BeginPhaseMark("planprof/0/L1", /*segment=*/true);
+    device.LaunchKernel(
+        1, [&](WarpCtx& w, std::size_t) { w.DeviceRead(id.value(), 64, 8); },
+        "oob");
+    device.EndPhaseMark();
+  }
+  ASSERT_EQ(san->findings().size(), 1u);
+  EXPECT_EQ(san->findings()[0].phase, "outer-phase");
+  device.memory().Free(id.value());
+}
+
 TEST(SanitizerReportTest, JsonMatchesSchema) {
   Device device(SmallParams());
   Sanitizer* san = EnableAll(device)->sanitizer();

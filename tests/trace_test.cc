@@ -1,8 +1,9 @@
-// Tests for the timeline recorder: ring-buffer bounds and drop
-// accounting, Chrome trace-event export well-formedness (balanced B/E
-// pairs per track, monotonic timestamps), and the acceptance property
-// that on a quickstart-style workload every kernel span is covered by an
-// engine phase span.
+// Tests for the timeline views over the command log: the log's one
+// capacity and drop counter, Chrome trace-event export well-formedness
+// (balanced B/E pairs per track, monotonic timestamps), and, on a
+// quickstart-style workload, that every kernel span is covered by an
+// engine phase span and that the Chrome trace, the profile's kernel
+// table and the log agree.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -22,7 +23,11 @@
 namespace gpm::gpusim {
 namespace {
 
-using Kind = TraceRecorder::Kind;
+using prof::CommandLog;
+using prof::CommandRecord;
+using prof::InstantRecord;
+using Kind = CommandRecord::Kind;
+using Instant = InstantRecord::Kind;
 
 SimParams SmallParams() {
   SimParams p;
@@ -43,9 +48,12 @@ using SpanMap = std::map<std::pair<int, int>, std::vector<JsonSpan>>;
 
 // Per-track validation of a parsed Chrome trace document: timestamps are
 // monotonic (non-decreasing), every "E" closes an open "B", and every "B"
-// is eventually closed. Fills `*spans` with the completed spans per track.
+// is eventually closed. Fills `*spans` with the completed spans per track
+// and, when given, `*instants` with the instants ("i" events; begin ==
+// end, `cat` holds the event name) per track.
 // (void return so ASSERT_* can bail out on malformed documents.)
-void ValidateTracks(const minijson::Value& doc, SpanMap* spans) {
+void ValidateTracks(const minijson::Value& doc, SpanMap* spans,
+                    SpanMap* instants = nullptr) {
   SpanMap open;
   std::map<std::pair<int, int>, double> last_ts;
   const minijson::Value* events = doc.Find("traceEvents");
@@ -93,6 +101,15 @@ void ValidateTracks(const minijson::Value& doc, SpanMap* spans) {
       ASSERT_NE(args, nullptr) << "instant without page args";
       EXPECT_NE(args->Find("region"), nullptr);
       EXPECT_NE(args->Find("page"), nullptr);
+      if (instants != nullptr) {
+        JsonSpan s;
+        s.begin = s.end = ts->number;
+        s.cat = ev.Find("name")->str;
+        if (const minijson::Value* region = args->Find("region")) {
+          s.name = std::to_string(static_cast<uint64_t>(region->number));
+        }
+        (*instants)[track].push_back(std::move(s));
+      }
     }
   }
   for (const auto& [track, stack] : open) {
@@ -101,53 +118,83 @@ void ValidateTracks(const minijson::Value& doc, SpanMap* spans) {
   }
 }
 
-TEST(TraceRecorderTest, DisabledRecordsNothing) {
-  TraceRecorder rec;
-  rec.RecordSpan(Kind::kKernel, "k", 0, 10);
-  rec.RecordUmEvent(Kind::kUmFault, 5, 1, 0);
-  EXPECT_TRUE(rec.events().empty());
-  EXPECT_EQ(rec.dropped_events(), 0u);  // disabled != dropped
+CommandRecord Span(Kind kind, const std::string& name, double begin,
+                   double end) {
+  CommandRecord rec;
+  rec.kind = kind;
+  rec.name = name;
+  rec.start = begin;
+  rec.end = end;
+  return rec;
 }
 
-TEST(TraceRecorderTest, CapacityDropsAndCountsExactly) {
-  TraceRecorder rec(4);
-  rec.set_enabled(true);
-  for (int i = 0; i < 7; ++i) {
-    rec.RecordSpan(Kind::kKernel, "k", i * 10.0, i * 10.0 + 5.0);
+InstantRecord Page(Instant kind, double ts, uint32_t region, uint64_t page) {
+  InstantRecord rec;
+  rec.kind = kind;
+  rec.ts = ts;
+  rec.region = region;
+  rec.page = page;
+  return rec;
+}
+
+// All spans of one category across every track.
+std::vector<JsonSpan> SpansOf(const SpanMap& spans, const std::string& cat) {
+  std::vector<JsonSpan> out;
+  for (const auto& [track, list] : spans) {
+    for (const JsonSpan& s : list) {
+      if (s.cat == cat) out.push_back(s);
+    }
   }
-  EXPECT_EQ(rec.events().size(), 4u);
-  EXPECT_EQ(rec.dropped_events(), 3u);
-  // The earliest events win, so a truncated trace still starts at t=0.
-  EXPECT_DOUBLE_EQ(rec.events().front().begin_cycles, 0.0);
+  return out;
+}
+
+std::size_t CountKind(const CommandLog& log, Kind kind) {
+  std::size_t n = 0;
+  for (const CommandRecord& rec : log.commands()) n += rec.kind == kind;
+  return n;
+}
+
+TEST(CommandLogTimelineTest, ExportReportsCapacityAndDrops) {
+  CommandLog log;
+  log.set_enabled(true);
+  log.set_capacity(4);
+  for (int i = 0; i < 7; ++i) {
+    log.Append(Span(Kind::kKernel, "k", i * 10.0, i * 10.0 + 5.0));
+  }
+  EXPECT_EQ(log.commands().size(), 4u);
+  EXPECT_EQ(log.dropped(), 3u);
+  // The earliest entries win, so a truncated trace still starts at t=0.
+  EXPECT_DOUBLE_EQ(log.commands().front().start, 0.0);
 
   minijson::Value doc;
-  ASSERT_TRUE(minijson::Parse(rec.ToChromeTraceJson(SimParams()), &doc));
+  ASSERT_TRUE(minijson::Parse(ToChromeTraceJson(log, SimParams()), &doc));
   const minijson::Value* other = doc.Find("otherData");
   ASSERT_NE(other, nullptr);
   EXPECT_EQ(other->Find("schema")->str, "gamma.trace.v1");
   EXPECT_DOUBLE_EQ(other->Find("dropped_events")->number, 3.0);
   EXPECT_DOUBLE_EQ(other->Find("capacity")->number, 4.0);
 
-  rec.Clear();
-  EXPECT_TRUE(rec.events().empty());
-  EXPECT_EQ(rec.dropped_events(), 0u);
+  log.Clear();
+  EXPECT_TRUE(log.commands().empty());
+  EXPECT_EQ(log.dropped(), 0u);
 }
 
-TEST(TraceRecorderTest, ChromeJsonBalancedWithAwkwardSpans) {
-  TraceRecorder rec;
-  rec.set_enabled(true);
+TEST(CommandLogTimelineTest, ChromeJsonBalancedWithAwkwardSpans) {
+  CommandLog log;
+  log.set_enabled(true);
   // Adjacent spans sharing a boundary, a nested span, a zero-length span,
   // and instants at coinciding timestamps — the awkward cases for B/E
   // ordering at equal ts.
-  rec.RecordSpan(Kind::kKernel, "inner", 2, 6);
-  rec.RecordSpan(Kind::kPhase, "outer", 0, 10);
-  rec.RecordSpan(Kind::kKernel, "adjacent", 6, 10);
-  rec.RecordSpan(Kind::kKernel, "zero", 10, 10);
-  rec.RecordUmEvent(Kind::kUmFault, 6, 1, 42);
-  rec.RecordUmEvent(Kind::kUmHit, 6, 1, 42);
+  log.Append(Span(Kind::kPhaseBegin, "outer", 0, 0));
+  log.Append(Span(Kind::kKernel, "inner", 2, 6));
+  log.Append(Span(Kind::kKernel, "adjacent", 6, 10));
+  log.Append(Span(Kind::kKernel, "zero", 10, 10));
+  log.Append(Span(Kind::kPhaseEnd, "outer", 10, 10));
+  log.AppendInstant(Page(Instant::kUmFault, 6, 1, 42));
+  log.AppendInstant(Page(Instant::kUmHit, 6, 1, 42));
 
   minijson::Value doc;
-  ASSERT_TRUE(minijson::Parse(rec.ToChromeTraceJson(SimParams()), &doc));
+  ASSERT_TRUE(minijson::Parse(ToChromeTraceJson(log, SimParams()), &doc));
   SpanMap spans;
   ASSERT_NO_FATAL_FAILURE(ValidateTracks(doc, &spans));
   std::size_t total = 0;
@@ -155,32 +202,57 @@ TEST(TraceRecorderTest, ChromeJsonBalancedWithAwkwardSpans) {
   EXPECT_EQ(total, 4u);  // all four spans closed exactly once
 }
 
-TEST(DeviceTraceTest, KernelRecordListIsBounded) {
-  Device device(SmallParams());
-  device.set_trace_enabled(true);
-  device.set_trace_capacity(2);
+// Plan-profiler segment markers window the log but are not phases: the
+// phase track shows only PhaseScope spans.
+TEST(CommandLogTimelineTest, SegmentMarkersStayOffThePhaseTrack) {
+  CommandLog log;
+  log.set_enabled(true);
+  log.Append(Span(Kind::kPhaseBegin, "extension", 0, 0));
+  CommandRecord seg = Span(Kind::kPhaseBegin, "planprof/0/L1", 0, 0);
+  seg.segment = true;
+  log.Append(seg);
+  log.Append(Span(Kind::kKernel, "k", 0, 5));
+  seg.kind = Kind::kPhaseEnd;
+  seg.start = seg.end = 5;
+  log.Append(seg);
+  log.Append(Span(Kind::kPhaseEnd, "extension", 5, 5));
+
+  minijson::Value doc;
+  ASSERT_TRUE(minijson::Parse(ToChromeTraceJson(log, SimParams()), &doc));
+  SpanMap spans;
+  ASSERT_NO_FATAL_FAILURE(ValidateTracks(doc, &spans));
+  const std::vector<JsonSpan> phases = SpansOf(spans, "phase");
+  ASSERT_EQ(phases.size(), 1u);
+  EXPECT_EQ(phases[0].name, "extension");
+}
+
+TEST(DeviceTraceTest, KernelTableIsBoundedByTheLog) {
+  SimParams params = SmallParams();
+  params.record_commands = true;
+  Device device(params);
+  device.critpath().set_capacity(2);
   for (int i = 0; i < 5; ++i) {
     device.LaunchKernel(1, [](WarpCtx& w, std::size_t) {
       w.ChargeCompute(10);
     });
   }
-  EXPECT_EQ(device.kernel_trace().size(), 2u);
-  EXPECT_EQ(device.dropped_kernel_records(), 3u);
+  EXPECT_EQ(CountKind(device.critpath(), Kind::kKernel), 2u);
+  EXPECT_EQ(device.critpath().dropped(), 3u);
 
   minijson::Value doc;
   ASSERT_TRUE(minijson::Parse(device.profile().ToJson(device), &doc));
   EXPECT_DOUBLE_EQ(doc.Find("kernel_trace_dropped")->number, 3.0);
   EXPECT_EQ(doc.Find("kernel_trace")->array.size(), 2u);
 
-  device.ClearTrace();
-  EXPECT_EQ(device.dropped_kernel_records(), 0u);
+  device.critpath().Clear();
+  EXPECT_EQ(device.critpath().dropped(), 0u);
 }
 
 TEST(DeviceTraceTest, KernelSlotAndUmEventsLandOnTracks) {
   SimParams params = SmallParams();
   params.num_warp_slots = 2;
+  params.record_timeline = true;
   Device device(params);
-  device.trace().set_enabled(true);
   auto region = device.unified().Register(1 << 18);
   device.LaunchKernel(
       3,
@@ -190,37 +262,35 @@ TEST(DeviceTraceTest, KernelSlotAndUmEventsLandOnTracks) {
       },
       "traced-kernel");
 
-  int kernels = 0, slots = 0, faults = 0;
-  for (const TraceRecorder::Event& ev : device.trace().events()) {
-    switch (ev.kind) {
-      case Kind::kKernel:
-        ++kernels;
-        EXPECT_EQ(ev.name, "traced-kernel");
-        EXPECT_LT(ev.begin_cycles, ev.end_cycles);
-        break;
-      case Kind::kWarpSlot:
-        ++slots;
-        EXPECT_GE(ev.track, 0);
-        EXPECT_LT(ev.track, 2);
-        break;
-      case Kind::kUmFault:
-        ++faults;
-        EXPECT_EQ(ev.region, region);
-        break;
-      default:
-        break;
+  minijson::Value doc;
+  ASSERT_TRUE(minijson::Parse(
+      ToChromeTraceJson(device.critpath(), device.params()), &doc));
+  SpanMap spans, instants;
+  ASSERT_NO_FATAL_FAILURE(ValidateTracks(doc, &spans, &instants));
+  const std::vector<JsonSpan> kernels = SpansOf(spans, "kernel");
+  ASSERT_EQ(kernels.size(), 1u);
+  EXPECT_EQ(kernels[0].name, "traced-kernel");
+  EXPECT_LT(kernels[0].begin, kernels[0].end);
+  int slots = 0;
+  for (const auto& [track, list] : spans) {
+    for (const JsonSpan& s : list) {
+      if (s.cat != "warp-slot") continue;
+      ++slots;
+      EXPECT_GE(track.second, 0);
+      EXPECT_LT(track.second, 2);
     }
   }
-  EXPECT_EQ(kernels, 1);
   EXPECT_EQ(slots, 2);  // 3 tasks over 2 slots: both slots busy
-  EXPECT_EQ(faults, 3);
-  EXPECT_EQ(static_cast<uint64_t>(faults), device.stats().um_page_faults);
+  const std::vector<JsonSpan> faults = SpansOf(instants, "um-fault");
+  EXPECT_EQ(faults.size(), 3u);
+  for (const JsonSpan& f : faults) EXPECT_EQ(f.name, std::to_string(region));
+  EXPECT_EQ(faults.size(), device.stats().um_page_faults);
 }
 
 TEST(DeviceTraceTest, EvictionEventsCarryVictimPage) {
   SimParams params = SmallParams();  // 16-page buffer
+  params.record_timeline = true;
   Device device(params);
-  device.trace().set_enabled(true);
   auto region = device.unified().Register(1 << 20);
   device.LaunchKernel(1, [&](WarpCtx& w, std::size_t) {
     for (int p = 0; p < 17; ++p) {
@@ -228,8 +298,8 @@ TEST(DeviceTraceTest, EvictionEventsCarryVictimPage) {
     }
   });
   bool saw_eviction = false;
-  for (const TraceRecorder::Event& ev : device.trace().events()) {
-    if (ev.kind == Kind::kUmEviction) {
+  for (const InstantRecord& ev : device.critpath().instants()) {
+    if (ev.kind == Instant::kUmEviction) {
       saw_eviction = true;
       EXPECT_EQ(ev.region, region);
       EXPECT_EQ(ev.page, 0u);  // LRU victim is the first page touched
@@ -240,36 +310,32 @@ TEST(DeviceTraceTest, EvictionEventsCarryVictimPage) {
 
 // The acceptance property: a quickstart-style workload (triangle counting
 // through the engine) exports a parseable Chrome trace where every track
-// is balanced and every kernel span is covered by an engine phase span.
+// is balanced and every kernel span is covered by an engine phase span;
+// and the views computed from the one log agree with each other.
 TEST(EngineTraceTest, QuickstartTimelinePhasesCoverKernels) {
   Rng rng(42);
   graph::Graph g = graph::Rmat(10, 6000, &rng);
   gpusim::SimParams params;
   params.device_memory_bytes = 16ull << 20;
+  params.record_timeline = true;
   Device device(params);
-  device.trace().set_enabled(true);
-  device.set_trace_capacity(1u << 20);
 
   core::GammaEngine engine(&device, &g, {});
   ASSERT_TRUE(engine.Prepare().ok());
   auto result = algos::CountTriangles(&engine);
   ASSERT_TRUE(result.ok());
-  ASSERT_EQ(device.trace().dropped_events(), 0u)
+  const CommandLog& log = device.critpath();
+  ASSERT_EQ(log.dropped(), 0u)
       << "raise the capacity: this test requires a complete trace";
 
-  std::string json = device.trace().ToChromeTraceJson(device.params());
+  std::string json = ToChromeTraceJson(log, device.params());
   minijson::Value doc;
   ASSERT_TRUE(minijson::Parse(json, &doc));
-  SpanMap spans;
-  ASSERT_NO_FATAL_FAILURE(ValidateTracks(doc, &spans));
+  SpanMap spans, instants;
+  ASSERT_NO_FATAL_FAILURE(ValidateTracks(doc, &spans, &instants));
 
-  std::vector<JsonSpan> kernels, phases;
-  for (const auto& [track, list] : spans) {
-    for (const JsonSpan& s : list) {
-      if (s.cat == "kernel") kernels.push_back(s);
-      if (s.cat == "phase") phases.push_back(s);
-    }
-  }
+  const std::vector<JsonSpan> kernels = SpansOf(spans, "kernel");
+  const std::vector<JsonSpan> phases = SpansOf(spans, "phase");
   ASSERT_FALSE(kernels.empty());
   ASSERT_FALSE(phases.empty());
   for (const JsonSpan& k : kernels) {
@@ -284,12 +350,18 @@ TEST(EngineTraceTest, QuickstartTimelinePhasesCoverKernels) {
                          << k.end << "] outside every phase span";
   }
 
+  // The views agree: Chrome kernel spans == the profile's kernel_trace ==
+  // the log's kernel records; phase spans == marker pairs.
+  minijson::Value profile;
+  ASSERT_TRUE(minijson::Parse(device.profile().ToJson(device), &profile));
+  EXPECT_EQ(kernels.size(), profile.Find("kernel_trace")->array.size());
+  EXPECT_EQ(kernels.size(), CountKind(log, Kind::kKernel));
+  EXPECT_DOUBLE_EQ(profile.Find("kernel_trace_dropped")->number, 0.0);
+  EXPECT_EQ(phases.size(), CountKind(log, Kind::kPhaseEnd));
+  EXPECT_EQ(CountKind(log, Kind::kPhaseBegin), CountKind(log, Kind::kPhaseEnd));
+
   // Page-event instants agree with the hardware counters.
-  int fault_events = 0;
-  for (const TraceRecorder::Event& ev : device.trace().events()) {
-    if (ev.kind == Kind::kUmFault) ++fault_events;
-  }
-  EXPECT_EQ(static_cast<uint64_t>(fault_events),
+  EXPECT_EQ(SpansOf(instants, "um-fault").size(),
             device.stats().um_page_faults);
 }
 
