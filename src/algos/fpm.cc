@@ -2,14 +2,12 @@
 
 #include <utility>
 
-#include "common/logging.h"
 #include "core/compiled_engine.h"
 
 namespace gpm::algos {
 
 Result<FpmResult> MineFrequentPatterns(core::GammaEngine* engine,
                                        const FpmOptions& options) {
-  GAMMA_CHECK(options.max_edges >= 1) << "need at least one iteration";
   core::PatternCompiler compiler(&engine->graph());
   auto plan = compiler.CompileFpm(options.max_edges, options.min_support);
   if (!plan.ok()) return plan.status();

@@ -185,7 +185,7 @@ CpuFpmResult CpuFpmEmbeddingCentric(const graph::Graph& g, int max_edges,
       uint64_t code = cache.Get(p);
       codes[r] = code;
       ++counts[code];
-      exemplars.emplace(code, p);
+      exemplars.try_emplace(code, p);
       result.ops += static_cast<uint64_t>(i) * i;
     }
     for (auto& [code, c] : counts) {

@@ -1,6 +1,10 @@
 #include "core/aggregation.h"
 
+#include <algorithm>
+#include <array>
 #include <mutex>
+#include <span>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -12,6 +16,37 @@ namespace gpm::core {
 namespace {
 
 constexpr std::size_t kRowsPerWarp = 256;
+constexpr int kMaxUnits = graph::Pattern::kMaxVertices;
+// Slots of the per-task pattern → code cache (direct-mapped by hash).
+constexpr std::size_t kTaskCacheSlots = 64;
+
+// Reconstructs rows of a table's last column, oldest unit first, by walking
+// the parent chain into a caller-provided stack array (GetEmbedding without
+// the allocation).
+class RowWalker {
+ public:
+  explicit RowWalker(const EmbeddingTable& table) : len_(table.length()) {
+    for (int j = 0; j < len_; ++j) {
+      units_[j] = table.column(j).units.host_data().data();
+      parents_[j] = table.column(j).parents.host_data().data();
+    }
+  }
+
+  std::span<const Unit> operator()(std::size_t row,
+                                   std::array<Unit, kMaxUnits>* buf) const {
+    RowIndex r = static_cast<RowIndex>(row);
+    for (int j = len_ - 1; j >= 0; --j) {
+      (*buf)[j] = units_[j][r];
+      r = parents_[j][r];
+    }
+    return {buf->data(), static_cast<std::size_t>(len_)};
+  }
+
+ private:
+  int len_;
+  std::array<const Unit*, kMaxUnits> units_{};
+  std::array<const RowIndex*, kMaxUnits> parents_{};
+};
 
 }  // namespace
 
@@ -24,34 +59,48 @@ Result<AggregationResult> Aggregate(const EmbeddingTable& table,
   const int len = table.length();
   if (rows == 0) return result;
 
+  const bool edge_table = table.kind() == TableKind::kEdge;
+  // An embedding of k edges may span k + 1 vertices.
+  const int max_len = edge_table ? kMaxUnits - 1 : kMaxUnits;
+  if (len > max_len) {
+    return Status::InvalidArgument(
+        "aggregation maps embeddings of at most " + std::to_string(max_len) +
+        (edge_table ? " edges" : " vertices") + ", got " +
+        std::to_string(len));
+  }
+
   gpusim::Device* device = table.device();
   const graph::Graph& g = accessor->graph();
+  const RowWalker walk(table);
 
-  // Map phase: one warp per row block; each row is reconstructed, its
-  // pattern built and canonically coded, and the code written out. Tasks
-  // may run concurrently: every row writes only its own code slot, each
-  // task collects its own first-seen exemplars (merged after the launch in
-  // ascending task order, reproducing the serial first-wins choice), and
-  // the canonical-code memo — whose values are content-derived and thus
-  // interleaving-independent — is the one piece of shared mutable state,
-  // behind a mutex. The permutation search itself runs outside the lock
-  // (codes are pure functions of the pattern, so a rare duplicate search
-  // computes the same value), keeping the dominant cost parallel.
+  // Map phase: one warp per row block; each row is walked into a stack
+  // array, its quick pattern (the embedding's shape as numbered by unit
+  // order) built in place and canonically coded, and the code written out.
+  // Codes are looked up first in a per-task cache keyed by the quick pattern
+  // itself, then in the shared memo. Tasks may run concurrently: every row
+  // writes only its own code slot, each task collects its own first-seen
+  // exemplars (merged after the launch in ascending task order, reproducing
+  // the serial first-wins choice), and the shared memo — whose values are
+  // content-derived and thus interleaving-independent — is the one piece of
+  // shared mutable state, behind a mutex. The permutation search itself
+  // runs outside the lock (codes are pure functions of the pattern, so a
+  // rare duplicate search computes the same value), keeping the dominant
+  // cost parallel.
   result.codes.resize(rows);
-  std::unordered_map<uint64_t, graph::Pattern> exemplars;
-  std::mutex cache_mu;
-  std::unordered_map<uint64_t, uint64_t> canon_memo;  // raw code -> canonical
-  auto canonical_of = [&cache_mu, &canon_memo](const graph::Pattern& p) {
-    const uint64_t raw = graph::RawCode(p);
+  std::mutex memo_mu;
+  graph::CanonicalCache memo;
+  auto shared_canonical = [&memo_mu, &memo](const graph::Pattern& p) {
     {
-      std::lock_guard<std::mutex> lock(cache_mu);
-      auto it = canon_memo.find(raw);
-      if (it != canon_memo.end()) return it->second;
+      std::lock_guard<std::mutex> lock(memo_mu);
+      if (const uint64_t* code = memo.Find(p)) return *code;
     }
     const uint64_t canon = graph::CanonicalCode(p);
-    std::lock_guard<std::mutex> lock(cache_mu);
-    canon_memo.emplace(raw, canon);
-    return canon;
+    std::lock_guard<std::mutex> lock(memo_mu);
+    return memo.Insert(p, canon);
+  };
+  auto pattern_of = [&](std::span<const Unit> units) {
+    return edge_table ? graph::PatternOfEdges(g, units, options.use_labels)
+                      : graph::PatternOfVertices(g, units, options.use_labels);
   };
   std::size_t tasks = (rows + kRowsPerWarp - 1) / kRowsPerWarp;
   std::vector<std::unordered_map<uint64_t, graph::Pattern>> task_exemplars(
@@ -63,26 +112,33 @@ Result<AggregationResult> Aggregate(const EmbeddingTable& table,
         table.ChargeColumnRead(w, len - 1, lo, hi - lo);
         w.ChargeSimtWork((hi - lo) * len,
                          options.map_cycles_per_unit * len);
+        // Empty slots hold the default (0-vertex) pattern, which equals no
+        // built pattern. The first row of this task with a given code is
+        // always a miss (no earlier row had its quick pattern), so offering
+        // the exemplar on misses only (try_emplace keeps the first) keeps
+        // the first-wins choice.
+        struct Slot {
+          graph::Pattern pattern;
+          uint64_t code = 0;
+        };
+        std::array<Slot, kTaskCacheSlots> cache;
+        std::array<Unit, kMaxUnits> buf;
         for (std::size_t r = lo; r < hi; ++r) {
-          std::vector<Unit> emb = table.GetEmbedding(len - 1,
-                                                     static_cast<RowIndex>(r));
-          graph::Pattern p;
-          if (table.kind() == TableKind::kEdge) {
-            std::vector<graph::EdgeId> edges(emb.begin(), emb.end());
-            p = graph::PatternOfEdges(g, edges, options.use_labels);
-          } else {
-            std::vector<graph::VertexId> verts(emb.begin(), emb.end());
-            p = graph::PatternOfVertices(g, verts, options.use_labels);
+          const graph::Pattern p = pattern_of(walk(r, &buf));
+          Slot& slot = cache[p.Hash() % kTaskCacheSlots];
+          if (slot.pattern != p) {
+            slot.pattern = p;
+            slot.code = shared_canonical(p);
+            task_exemplars[t].try_emplace(slot.code, p);
           }
-          const uint64_t code = canonical_of(p);
-          result.codes[r] = code;
-          task_exemplars[t].emplace(code, p);
+          result.codes[r] = slot.code;
         }
         w.DeviceWrite((hi - lo) * sizeof(uint64_t));
       },
       "aggregation-map");
+  std::unordered_map<uint64_t, graph::Pattern> exemplars;
   for (auto& te : task_exemplars) {
-    for (auto& [code, p] : te) exemplars.emplace(code, p);
+    for (auto& [code, p] : te) exemplars.try_emplace(code, p);
   }
 
   // Sort the code column (out-of-core capable) and count runs.
@@ -120,24 +176,29 @@ Result<AggregationResult> Aggregate(const EmbeddingTable& table,
     std::unordered_map<uint64_t,
                        std::vector<std::unordered_set<graph::VertexId>>>
         images;
+    std::array<Unit, kMaxUnits> buf;
+    std::array<graph::VertexId, graph::Pattern::kMaxVertices> verts;
     for (std::size_t r = 0; r < rows; ++r) {
-      std::vector<Unit> emb =
-          table.GetEmbedding(len - 1, static_cast<RowIndex>(r));
-      std::vector<graph::VertexId> verts;
-      if (table.kind() == TableKind::kEdge) {
-        for (Unit e : emb) {
+      std::span<const Unit> units = walk(r, &buf);
+      std::size_t nv = 0;
+      if (edge_table) {
+        // The map phase built each row's pattern, so at most kMaxVertices.
+        for (Unit e : units) {
           const graph::Edge& ed = g.edge_list()[e];
-          if (std::find(verts.begin(), verts.end(), ed.u) == verts.end())
-            verts.push_back(ed.u);
-          if (std::find(verts.begin(), verts.end(), ed.v) == verts.end())
-            verts.push_back(ed.v);
+          for (graph::VertexId v : {ed.u, ed.v}) {
+            if (std::find(verts.begin(), verts.begin() + nv, v) ==
+                verts.begin() + nv) {
+              verts[nv++] = v;
+            }
+          }
         }
       } else {
-        verts.assign(emb.begin(), emb.end());
+        nv = std::copy(units.begin(), units.end(), verts.begin()) -
+             verts.begin();
       }
       auto& img = images[result.codes[r]];
-      if (img.size() < verts.size()) img.resize(verts.size());
-      for (std::size_t i = 0; i < verts.size(); ++i) {
+      if (img.size() < nv) img.resize(nv);
+      for (std::size_t i = 0; i < nv; ++i) {
         img[i].insert(verts[i]);
       }
     }

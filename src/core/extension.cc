@@ -1,6 +1,7 @@
 #include "core/extension.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <unordered_map>
 
@@ -598,50 +599,55 @@ bool IsCanonicalEdgeExtension(const graph::Graph& g,
   // Canonical sequence of a connected edge set: start at the smallest edge
   // id; repeatedly append the smallest id adjacent (sharing a vertex) to
   // the prefix. The extension is canonical iff that sequence equals
-  // (edges..., e).
+  // (edges..., e). Runs per candidate, so everything lives in fixed-size
+  // stack arrays.
+  constexpr std::size_t kMaxK = 2 * graph::Pattern::kMaxVertices;
   const std::size_t k = edges.size() + 1;
-  std::vector<Unit> want(edges.begin(), edges.end());
-  want.push_back(e);
+  GAMMA_CHECK(k <= kMaxK) << "canonicality check of " << k
+                          << " edges; at most " << kMaxK;
+  std::array<Unit, kMaxK> want;
+  std::copy(edges.begin(), edges.end(), want.begin());
+  want[k - 1] = e;
 
-  std::vector<Unit> pool = want;
-  std::sort(pool.begin(), pool.end());
-  if (pool.front() != want.front()) return false;
+  std::array<Unit, kMaxK> pool = want;
+  std::sort(pool.begin(), pool.begin() + k);
+  if (pool[0] != want[0]) return false;
 
-  auto touches = [&g](Unit edge_id, const std::vector<VertexId>& verts) {
-    const graph::Edge& ed = g.edge_list()[edge_id];
-    for (VertexId v : verts) {
-      if (ed.u == v || ed.v == v) return true;
+  // A connected prefix of s edges spans at most s + 1 vertices.
+  std::array<VertexId, kMaxK + 1> verts;
+  std::size_t nv = 0;
+  auto has_vertex = [&verts, &nv](VertexId v) {
+    for (std::size_t i = 0; i < nv; ++i) {
+      if (verts[i] == v) return true;
     }
     return false;
   };
+  auto add_endpoints = [&](Unit edge_id) {
+    const graph::Edge& ed = g.edge_list()[edge_id];
+    if (!has_vertex(ed.u)) verts[nv++] = ed.u;
+    if (!has_vertex(ed.v)) verts[nv++] = ed.v;
+  };
 
-  std::vector<VertexId> verts;
-  std::vector<bool> used(k, false);
-  // Seed with the smallest edge (must be want[0]).
-  used[std::find(pool.begin(), pool.end(), want[0]) - pool.begin()] = true;
-  verts.push_back(g.edge_list()[want[0]].u);
-  verts.push_back(g.edge_list()[want[0]].v);
+  // Seed with the smallest edge (pool[0] == want[0]).
+  uint32_t used = 1u;
+  add_endpoints(want[0]);
 
   for (std::size_t step = 1; step < k; ++step) {
-    // Smallest unused edge adjacent to the prefix.
-    Unit pick = graph::Graph::kInvalidEdge;
-    std::size_t pick_idx = 0;
+    // Smallest unused edge adjacent to the prefix: pool is sorted, so the
+    // first hit is the smallest.
+    std::size_t pick = k;
     for (std::size_t i = 0; i < k; ++i) {
-      if (used[i]) continue;
-      if (touches(pool[i], verts)) {
-        pick = pool[i];
-        pick_idx = i;
-        break;  // pool is sorted, the first hit is the smallest.
+      if ((used >> i) & 1u) continue;
+      const graph::Edge& ed = g.edge_list()[pool[i]];
+      if (has_vertex(ed.u) || has_vertex(ed.v)) {
+        pick = i;
+        break;
       }
     }
-    if (pick == graph::Graph::kInvalidEdge) return false;  // disconnected
-    if (pick != want[step]) return false;
-    used[pick_idx] = true;
-    const graph::Edge& ed = g.edge_list()[pick];
-    if (std::find(verts.begin(), verts.end(), ed.u) == verts.end())
-      verts.push_back(ed.u);
-    if (std::find(verts.begin(), verts.end(), ed.v) == verts.end())
-      verts.push_back(ed.v);
+    if (pick == k) return false;  // disconnected
+    if (pool[pick] != want[step]) return false;
+    used |= 1u << pick;
+    add_endpoints(pool[pick]);
   }
   return true;
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
 
 #include "common/logging.h"
 #include "gpusim/sanitizer.h"
@@ -96,21 +95,22 @@ SortStats MultiMerge(gpusim::Device* device,
       },
       "sort-matched-index");
 
-  // One merge subtask per checkpoint interval; warp-wise merging.
+  // One merge subtask per checkpoint interval; warp-wise merging. Subtask
+  // o takes every segment's slice between its o-th and (o+1)-th split
+  // points, so its run starts in `out` at the sum of the segments' o-th
+  // split points and the subtasks write disjoint ranges.
   const std::size_t num_subtasks = checkpoints.size() + 1;
   stats.subtasks = num_subtasks;
-  std::vector<std::vector<uint64_t>> merged(num_subtasks);
+  std::size_t total = 0;
+  for (const auto& seg : *segments) total += seg.size();
+  out->resize(total);
   stats.cycles += device->LaunchKernel(
       num_subtasks, [&](gpusim::WarpCtx& w, std::size_t o) {
-        // Gather the o-th slice of every segment.
+        std::size_t base = 0;
         std::size_t m = 0;
-        std::vector<std::pair<const uint64_t*, const uint64_t*>> slices;
         for (std::size_t i = 0; i < n; ++i) {
-          const auto& seg = (*segments)[i];
-          std::size_t lo = splits[i][o];
-          std::size_t hi = splits[i][o + 1];
-          slices.emplace_back(seg.data() + lo, seg.data() + hi);
-          m += hi - lo;
+          base += splits[i][o];
+          m += splits[i][o + 1] - splits[i][o];
         }
         // The slices live in host memory (segments were written back after
         // the in-core sorts); read them in and write the merged run out.
@@ -129,35 +129,46 @@ SortStats MultiMerge(gpusim::Device* device,
         }
         w.ZeroCopyWrite(m * kKeyBytes);
 
-        // Functional n-way merge of the slices.
-        auto& out_run = merged[o];
-        out_run.reserve(m);
-        using HeapItem = std::pair<uint64_t, std::size_t>;
-        std::priority_queue<HeapItem, std::vector<HeapItem>,
-                            std::greater<HeapItem>>
-            heap;
-        auto cursors = slices;
-        for (std::size_t i = 0; i < cursors.size(); ++i) {
-          if (cursors[i].first != cursors[i].second) {
-            heap.emplace(*cursors[i].first, i);
-          }
+        // Functional merge: concatenate the non-empty slices into the
+        // output run, then merge adjacent sorted runs pairwise, bottom-up,
+        // ping-ponging through a scratch buffer (ceil(log2 n) linear
+        // passes).
+        uint64_t* const dst = out->data() + base;
+        std::vector<std::size_t> bounds{0};
+        for (std::size_t i = 0; i < n; ++i) {
+          const auto& seg = (*segments)[i];
+          std::size_t lo = splits[i][o];
+          std::size_t hi = splits[i][o + 1];
+          if (lo == hi) continue;
+          std::copy(seg.data() + lo, seg.data() + hi, dst + bounds.back());
+          bounds.push_back(bounds.back() + (hi - lo));
         }
-        while (!heap.empty()) {
-          auto [v, i] = heap.top();
-          heap.pop();
-          out_run.push_back(v);
-          ++cursors[i].first;
-          if (cursors[i].first != cursors[i].second) {
-            heap.emplace(*cursors[i].first, i);
+        if (bounds.size() <= 2) return;
+        std::vector<uint64_t> scratch(m);
+        uint64_t* src = dst;
+        uint64_t* tmp = scratch.data();
+        while (bounds.size() > 2) {
+          // Runs [b0,b1) and [b1,b2) merge into [b0,b2); an odd last run
+          // is copied across. The merged bounds are bounds[0, 2, 4, ...]
+          // plus the end, compacted in place.
+          std::size_t kept = 1;
+          std::size_t j = 0;
+          for (; j + 2 < bounds.size(); j += 2) {
+            std::merge(src + bounds[j], src + bounds[j + 1],
+                       src + bounds[j + 1], src + bounds[j + 2],
+                       tmp + bounds[j]);
+            bounds[kept++] = bounds[j + 2];
           }
+          if (j + 1 < bounds.size()) {
+            std::copy(src + bounds[j], src + bounds[j + 1], tmp + bounds[j]);
+            bounds[kept++] = bounds[j + 1];
+          }
+          bounds.resize(kept);
+          std::swap(src, tmp);
         }
-            },
+        if (src != dst) std::copy(src, src + m, dst);
+      },
       "sort-merge");
-
-  out->clear();
-  for (auto& run : merged) {
-    out->insert(out->end(), run.begin(), run.end());
-  }
   return stats;
 }
 

@@ -407,9 +407,13 @@ Result<CompiledPlan> PatternCompiler::CompileMotifCensus(int k) const {
 
 Result<CompiledPlan> PatternCompiler::CompileFpm(int max_edges,
                                                  uint64_t min_support) const {
-  if (max_edges < 1) {
-    return Status::InvalidArgument("max_edges must be >= 1, got " +
-                                   std::to_string(max_edges));
+  // An embedding of k edges spans up to k + 1 vertices, and patterns hold
+  // at most Pattern::kMaxVertices.
+  constexpr int kMaxEdges = graph::Pattern::kMaxVertices - 1;
+  if (max_edges < 1 || max_edges > kMaxEdges) {
+    return Status::InvalidArgument(
+        "max_edges must be in [1, " + std::to_string(kMaxEdges) + "], got " +
+        std::to_string(max_edges));
   }
   CompiledPlan plan;
   plan.kind = PlanKind::kFrequentMining;

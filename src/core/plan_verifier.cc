@@ -373,8 +373,14 @@ class Checker {
   }
 
   void StructuralFpm() {
-    Require(kStructural, plan_.max_edges >= 1, "fpm-params", -1,
-            "frequent mining needs max_edges >= 1");
+    Require(kStructural,
+            plan_.max_edges >= 1 &&
+                plan_.max_edges <= Pattern::kMaxVertices - 1,
+            "fpm-params", -1,
+            "frequent mining needs max_edges in [1, " +
+                std::to_string(Pattern::kMaxVertices - 1) +
+                "] (a k-edge pattern spans up to k + 1 vertices), has " +
+                std::to_string(plan_.max_edges));
     Require(kStructural,
             plan_.order.empty() && plan_.levels.empty() &&
                 plan_.edge_order.empty(),

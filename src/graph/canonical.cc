@@ -66,6 +66,4 @@ uint64_t CanonicalCode(const Pattern& p) {
   return HashBytes(CanonicalEncoding(p));
 }
 
-uint64_t RawCode(const Pattern& p) { return HashBytes(Encode(p)); }
-
 }  // namespace gpm::graph

@@ -21,30 +21,37 @@ std::vector<uint8_t> CanonicalEncoding(const Pattern& p);
 /// CanonicalCache.
 uint64_t CanonicalCode(const Pattern& p);
 
-/// Order-*dependent* 64-bit code of a pattern as currently numbered. Much
-/// cheaper than CanonicalCode; two equal raw codes imply identical (not just
-/// isomorphic) patterns.
-uint64_t RawCode(const Pattern& p);
-
-/// Memoizes raw code → canonical code. The aggregation primitive maps every
-/// embedding to its pattern's canonical label; embeddings overwhelmingly
-/// share a handful of shapes, so this cache reduces per-embedding cost to a
-/// hash lookup.
+/// Memoizes pattern → canonical code, keyed by the pattern exactly as
+/// numbered (Pattern::operator==; no hash stands in for the key). The
+/// aggregation primitive maps every embedding to its pattern's canonical
+/// label; embeddings overwhelmingly share a handful of shapes, so this
+/// cache reduces per-embedding cost to a hash lookup.
 class CanonicalCache {
  public:
   uint64_t Get(const Pattern& p) {
-    uint64_t raw = RawCode(p);
-    auto it = memo_.find(raw);
-    if (it != memo_.end()) return it->second;
-    uint64_t canon = CanonicalCode(p);
-    memo_.emplace(raw, canon);
-    return canon;
+    if (const uint64_t* code = Find(p)) return *code;
+    return Insert(p, CanonicalCode(p));
+  }
+
+  /// The memoized code of `p`, or nullptr.
+  const uint64_t* Find(const Pattern& p) const {
+    auto it = memo_.find(p);
+    return it == memo_.end() ? nullptr : &it->second;
+  }
+
+  /// Records `code` as the canonical code of `p` (kept if already present)
+  /// and returns the recorded code.
+  uint64_t Insert(const Pattern& p, uint64_t code) {
+    return memo_.try_emplace(p, code).first->second;
   }
 
   std::size_t size() const { return memo_.size(); }
 
  private:
-  std::unordered_map<uint64_t, uint64_t> memo_;
+  struct Hasher {
+    std::size_t operator()(const Pattern& p) const { return p.Hash(); }
+  };
+  std::unordered_map<Pattern, uint64_t, Hasher> memo_;
 };
 
 }  // namespace gpm::graph

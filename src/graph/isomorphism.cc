@@ -1,6 +1,7 @@
 #include "graph/isomorphism.h"
 
 #include <algorithm>
+#include <array>
 #include <numeric>
 
 #include "common/logging.h"
@@ -131,43 +132,48 @@ void EnumerateEmbeddings(const Graph& g, const Pattern& p,
   m.Run();
 }
 
-Pattern PatternOfVertices(const Graph& g,
-                          const std::vector<VertexId>& vertices,
+Pattern PatternOfVertices(const Graph& g, std::span<const VertexId> vertices,
                           bool use_labels) {
-  Pattern p(static_cast<int>(vertices.size()));
-  for (std::size_t i = 0; i < vertices.size(); ++i) {
-    if (use_labels) p.SetLabel(static_cast<int>(i), g.label(vertices[i]));
-    for (std::size_t j = i + 1; j < vertices.size(); ++j) {
-      if (g.HasEdge(vertices[i], vertices[j]))
-        p.AddEdge(static_cast<int>(i), static_cast<int>(j));
+  const int n = static_cast<int>(vertices.size());
+  Pattern p(n);
+  for (int i = 0; i < n; ++i) {
+    if (use_labels) p.SetLabel(i, g.label(vertices[i]));
+    for (int j = i + 1; j < n; ++j) {
+      if (g.HasEdge(vertices[i], vertices[j])) p.AddEdge(i, j);
     }
   }
   return p;
 }
 
-Pattern PatternOfEdges(const Graph& g, const std::vector<EdgeId>& edges,
+Pattern PatternOfEdges(const Graph& g, std::span<const EdgeId> edges,
                        bool use_labels) {
-  std::vector<VertexId> verts;
-  auto vertex_index = [&verts](VertexId v) {
-    for (std::size_t i = 0; i < verts.size(); ++i) {
-      if (verts[i] == v) return static_cast<int>(i);
+  // Two passes over the edges: number the vertices in first-seen order,
+  // then add each edge between its endpoints' indices.
+  std::array<VertexId, Pattern::kMaxVertices> verts;
+  int n = 0;
+  auto index_of = [&verts, &n](VertexId v) {
+    for (int i = 0; i < n; ++i) {
+      if (verts[i] == v) return i;
     }
-    verts.push_back(v);
-    return static_cast<int>(verts.size() - 1);
+    return -1;
   };
-  std::vector<std::pair<int, int>> pattern_edges;
   for (EdgeId e : edges) {
     const Edge& edge = g.edge_list()[e];
-    int a = vertex_index(edge.u);
-    int b = vertex_index(edge.v);
-    pattern_edges.emplace_back(a, b);
-  }
-  Pattern p(static_cast<int>(verts.size()));
-  for (auto [a, b] : pattern_edges) p.AddEdge(a, b);
-  if (use_labels) {
-    for (std::size_t i = 0; i < verts.size(); ++i) {
-      p.SetLabel(static_cast<int>(i), g.label(verts[i]));
+    for (VertexId v : {edge.u, edge.v}) {
+      if (index_of(v) >= 0) continue;
+      GAMMA_CHECK(n < Pattern::kMaxVertices)
+          << "pattern size out of range: more than " << Pattern::kMaxVertices
+          << " vertices";
+      verts[n++] = v;
     }
+  }
+  Pattern p(n);
+  for (EdgeId e : edges) {
+    const Edge& edge = g.edge_list()[e];
+    p.AddEdge(index_of(edge.u), index_of(edge.v));
+  }
+  if (use_labels) {
+    for (int i = 0; i < n; ++i) p.SetLabel(i, g.label(verts[i]));
   }
   return p;
 }

@@ -2,6 +2,7 @@
 #define GAMMA_GRAPH_ISOMORPHISM_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/csr.h"
@@ -31,14 +32,15 @@ void EnumerateEmbeddings(const Graph& g, const Pattern& p,
 /// Builds the pattern induced by `vertices` of `g` restricted to the edges
 /// among them that are present in g (with data labels when `use_labels`).
 /// This is the map_function of FPM aggregation: an embedding's shape.
-Pattern PatternOfVertices(const Graph& g,
-                          const std::vector<VertexId>& vertices,
+/// Allocation-free; at most Pattern::kMaxVertices vertices.
+Pattern PatternOfVertices(const Graph& g, std::span<const VertexId> vertices,
                           bool use_labels);
 
 /// Builds the pattern spanned by a set of undirected edge ids of `g` (the
 /// e-ET variant used by edge extension). Vertices are numbered in first-seen
-/// order; labels taken from `g` when `use_labels`.
-Pattern PatternOfEdges(const Graph& g, const std::vector<EdgeId>& edges,
+/// order; labels taken from `g` when `use_labels`. Allocation-free; the
+/// edges may touch at most Pattern::kMaxVertices distinct vertices.
+Pattern PatternOfEdges(const Graph& g, std::span<const EdgeId> edges,
                        bool use_labels);
 
 /// Number of vertex orderings of `p` whose every prefix is connected — the

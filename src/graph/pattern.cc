@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "common/logging.h"
+#include "common/random.h"
 
 namespace gpm::graph {
 
@@ -15,6 +16,17 @@ Pattern::Pattern(int num_vertices) : n_(num_vertices) {
   GAMMA_CHECK(num_vertices >= 1 && num_vertices <= kMaxVertices)
       << "pattern size out of range: " << num_vertices;
   labels_.fill(kAnyLabel);
+}
+
+uint64_t Pattern::Hash() const {
+  // Polynomial fold of one (adjacency row, label) word per vertex, then a
+  // single finalizing mix.
+  uint64_t h = static_cast<uint64_t>(n_);
+  for (int i = 0; i < n_; ++i) {
+    h = h * 0x9e3779b97f4a7c15ull +
+        ((static_cast<uint64_t>(adj_[i]) << 32) | labels_[i]);
+  }
+  return Mix64(h);
 }
 
 int Pattern::num_edges() const {

@@ -69,6 +69,11 @@ class Pattern {
 
   std::string DebugString() const;
 
+  /// Hash of the pattern as currently numbered (vertex count, adjacency
+  /// rows and labels); equal patterns hash equally. Picks the bucket in
+  /// exact-pattern memos such as CanonicalCache.
+  uint64_t Hash() const;
+
   friend bool operator==(const Pattern& a, const Pattern& b) {
     if (a.n_ != b.n_) return false;
     for (int i = 0; i < a.n_; ++i) {

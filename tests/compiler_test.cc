@@ -143,6 +143,22 @@ TEST(CompilerParityTest, FpmMatchesEmbeddingCentricReference) {
   }
 }
 
+TEST(CompilerFpmTest, EdgeBudgetOutOfRangeIsInvalidArgument) {
+  // A k-edge pattern spans up to k + 1 vertices; patterns hold at most
+  // Pattern::kMaxVertices, so max_edges lives in [1, kMaxVertices - 1].
+  graph::Graph g = RandomLabeled(9, 40, 120);
+  core::PatternCompiler compiler(&g);
+  for (int max_edges : {0, graph::Pattern::kMaxVertices}) {
+    auto plan = compiler.CompileFpm(max_edges, 1);
+    ASSERT_FALSE(plan.ok()) << max_edges;
+    EXPECT_EQ(plan.status().code(), ErrorCode::kInvalidArgument);
+    EXPECT_NE(plan.status().message().find("max_edges"), std::string::npos)
+        << plan.status().message();
+  }
+  EXPECT_TRUE(
+      compiler.CompileFpm(graph::Pattern::kMaxVertices - 1, 1).ok());
+}
+
 TEST(CompilerParityTest, SubgraphMatchQuerySet) {
   graph::Graph g = RandomLabeled(13, 50, 220);
   core::PatternCompiler compiler(&g);

@@ -16,6 +16,7 @@
 
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algos/fpm.h"
@@ -23,6 +24,7 @@
 #include "algos/motif.h"
 #include "algos/subgraph_matching.h"
 #include "core/gamma.h"
+#include "core/pattern_table.h"
 #include "graph/generators.h"
 #include "graph/pattern.h"
 #include "gpusim/device.h"
@@ -68,15 +70,18 @@ struct RunOutcome {
   double cycles = 0;
   std::vector<prof::InstantRecord> instants;  // empty unless timeline on
   uint64_t dropped = 0;
+  std::vector<core::PatternEntry> patterns;  // FPM's final pattern table
 };
 
 // Runs one algorithm end-to-end on a fresh device and returns the final
-// counters, clock and (with `timeline`) the log's instant list.
+// counters, clock, (with `timeline`) the log's instant list and (for FPM)
+// the mined pattern table.
 RunOutcome RunAlgo(Algo algo, const graph::Graph& g, int host_threads,
                    bool timeline = false) {
   gpusim::Device device(TestParams(host_threads, timeline));
   core::GammaEngine engine(&device, &g, {});
   EXPECT_TRUE(engine.Prepare().ok());
+  std::vector<core::PatternEntry> patterns;
   switch (algo) {
     case Algo::kKcl:
       EXPECT_TRUE(algos::CountKCliques(&engine, 4).ok());
@@ -88,7 +93,10 @@ RunOutcome RunAlgo(Algo algo, const graph::Graph& g, int host_threads,
       algos::FpmOptions fpm;
       fpm.max_edges = 3;
       fpm.min_support = 20;
-      EXPECT_TRUE(algos::MineFrequentPatterns(&engine, fpm).ok());
+      auto mined = algos::MineFrequentPatterns(&engine, fpm);
+      EXPECT_TRUE(mined.ok());
+      if (mined.ok()) patterns = mined.value().patterns.entries();
+      EXPECT_FALSE(patterns.empty());
       break;
     }
     case Algo::kSm: {
@@ -98,7 +106,8 @@ RunOutcome RunAlgo(Algo algo, const graph::Graph& g, int host_threads,
     }
   }
   return {device.stats().Snapshot(), device.now_cycles(),
-          device.critpath().instants(), device.critpath().dropped()};
+          device.critpath().instants(), device.critpath().dropped(),
+          std::move(patterns)};
 }
 
 void ExpectBitIdentical(const RunOutcome& a, const RunOutcome& b,
@@ -119,6 +128,17 @@ void ExpectBitIdentical(const RunOutcome& a, const RunOutcome& b,
     ASSERT_TRUE(x.kind == y.kind && x.ts == y.ts && x.region == y.region &&
                 x.page == y.page)
         << label << ": instant " << i << " diverged";
+  }
+  // Entry order, support and the first-wins exemplar all pinned.
+  ASSERT_EQ(a.patterns.size(), b.patterns.size())
+      << label << ": pattern count diverged";
+  for (std::size_t i = 0; i < a.patterns.size(); ++i) {
+    const core::PatternEntry& x = a.patterns[i];
+    const core::PatternEntry& y = b.patterns[i];
+    EXPECT_EQ(x.code, y.code) << label << ": pattern " << i;
+    EXPECT_EQ(x.support, y.support) << label << ": pattern " << i;
+    EXPECT_EQ(x.exemplar.DebugString(), y.exemplar.DebugString())
+        << label << ": pattern " << i;
   }
 }
 

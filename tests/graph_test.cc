@@ -179,6 +179,22 @@ TEST(CanonicalTest, CacheAgreesWithDirect) {
   EXPECT_EQ(cache.size(), 3u);
 }
 
+TEST(CanonicalTest, CacheKeysByExactPattern) {
+  CanonicalCache cache;
+  const Pattern path = Pattern::Path(3);  // 0-1-2, center 1
+  const Pattern renumbered = path.Permuted({1, 0, 2});  // center 0
+  ASSERT_FALSE(path == renumbered);
+  EXPECT_EQ(cache.Get(path), cache.Get(renumbered));
+  EXPECT_EQ(cache.size(), 2u);  // one entry per numbering
+  // The same pattern built another way is the same key.
+  auto parsed = ParsePattern("0-1,1-2");
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed.value().Hash(), path.Hash());
+  ASSERT_NE(cache.Find(parsed.value()), nullptr);
+  EXPECT_EQ(*cache.Find(parsed.value()), CanonicalCode(path));
+  EXPECT_EQ(cache.size(), 2u);
+}
+
 TEST(IsomorphismTest, TriangleCountOnToy) {
   Graph g = ToyGraph();
   // Triangles: {0,1,2} and {1,2,3}.
@@ -216,9 +232,10 @@ TEST(IsomorphismTest, EnumerateMatchesCount) {
 
 TEST(IsomorphismTest, PatternOfVerticesInduced) {
   Graph g = ToyGraph();
-  Pattern p = PatternOfVertices(g, {0, 1, 2}, /*use_labels=*/false);
+  const std::vector<VertexId> tri{0, 1, 2}, wedge{0, 1, 3};
+  Pattern p = PatternOfVertices(g, tri, /*use_labels=*/false);
   EXPECT_EQ(CanonicalCode(p), CanonicalCode(Pattern::Triangle()));
-  Pattern q = PatternOfVertices(g, {0, 1, 3}, false);
+  Pattern q = PatternOfVertices(g, wedge, false);
   EXPECT_EQ(q.num_edges(), 2);  // wedge 0-1, 1-3
 }
 
@@ -227,7 +244,8 @@ TEST(IsomorphismTest, PatternOfEdges) {
   g.EnsureEdgeIndex();
   EdgeId e01 = g.FindEdgeId(0, 1);
   EdgeId e12 = g.FindEdgeId(1, 2);
-  Pattern p = PatternOfEdges(g, {e01, e12}, false);
+  const std::vector<EdgeId> edges{e01, e12};
+  Pattern p = PatternOfEdges(g, edges, false);
   EXPECT_EQ(CanonicalCode(p), CanonicalCode(Pattern::Path(3)));
 }
 

@@ -3,13 +3,17 @@
 // must equal the reference oracle's on each sampled graph.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <tuple>
+#include <vector>
 
 #include "algos/fpm.h"
 #include "algos/kclique.h"
 #include "algos/subgraph_matching.h"
 #include "baselines/cpu_ref.h"
 #include "baselines/presets.h"
+#include "core/extension.h"
 #include "core/gamma.h"
 #include "graph/generators.h"
 #include "graph/isomorphism.h"
@@ -158,6 +162,92 @@ INSTANTIATE_TEST_SUITE_P(
       return "seed" + std::to_string(std::get<0>(info.param)) + "_sup" +
              std::to_string(std::get<1>(info.param));
     });
+
+// ---- Edge-extension canonicality --------------------------------------------
+
+// Reference for IsCanonicalEdgeExtension, built with plain vectors: the
+// canonical sequence of an edge multiset starts at the smallest id, then
+// repeatedly takes the smallest unused id sharing a vertex with the prefix.
+// Empty when the set is disconnected.
+std::vector<core::Unit> CanonicalSequence(const graph::Graph& g,
+                                          std::vector<core::Unit> pool) {
+  std::sort(pool.begin(), pool.end());
+  std::vector<bool> used(pool.size(), false);
+  std::vector<graph::VertexId> verts;
+  std::vector<core::Unit> canonical;
+  auto take = [&](std::size_t i) {
+    used[i] = true;
+    canonical.push_back(pool[i]);
+    const graph::Edge& ed = g.edge_list()[pool[i]];
+    for (graph::VertexId v : {ed.u, ed.v}) {
+      if (std::find(verts.begin(), verts.end(), v) == verts.end())
+        verts.push_back(v);
+    }
+  };
+  take(0);
+  while (canonical.size() < pool.size()) {
+    std::size_t pick = pool.size();
+    for (std::size_t i = 0; i < pool.size() && pick == pool.size(); ++i) {
+      if (used[i]) continue;
+      const graph::Edge& ed = g.edge_list()[pool[i]];
+      for (graph::VertexId v : verts) {
+        if (ed.u == v || ed.v == v) pick = i;
+      }
+    }
+    if (pick == pool.size()) return {};
+    take(pick);
+  }
+  return canonical;
+}
+
+TEST(CanonicalityProperty, MatchesVectorReference) {
+  Rng rng(17);
+  graph::Graph g = graph::ErdosRenyi(14, 30, &rng);
+  g.EnsureEdgeIndex();
+  const std::size_t m = g.edge_list().size();
+  ASSERT_GT(m, 0u);
+  std::size_t canonical = 0, rejected = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    const std::size_t k = 1 + rng.NextBounded(7);  // edges + candidate
+    std::vector<core::Unit> seq;
+    const int mode = trial % 4;
+    if (mode == 0) {
+      // Any ids: mostly disconnected.
+      for (std::size_t i = 0; i < k; ++i) seq.push_back(rng.NextBounded(m));
+    } else {
+      // Connected growth: each id is adjacent to an earlier one (an id may
+      // repeat, which the check must treat as a multiset).
+      seq.push_back(static_cast<core::Unit>(rng.NextBounded(m)));
+      while (seq.size() < k) {
+        const graph::Edge& from =
+            g.edge_list()[seq[rng.NextBounded(seq.size())]];
+        graph::VertexId v = rng.NextBounded(2) ? from.u : from.v;
+        auto eids = g.neighbor_edge_ids(v);
+        seq.push_back(eids[rng.NextBounded(eids.size())]);
+      }
+      if (mode == 1 && k >= 2) {
+        // Duplicate: the candidate repeats an earlier id.
+        seq.back() = seq[rng.NextBounded(k - 1)];
+      } else if (mode == 2) {
+        // Out of order: a random shuffle.
+        for (std::size_t i = seq.size(); i > 1; --i) {
+          std::swap(seq[i - 1], seq[rng.NextBounded(i)]);
+        }
+      } else if (mode == 3) {
+        // Canonical order, so that true answers are common.
+        seq = CanonicalSequence(g, seq);
+      }
+    }
+    const bool want = CanonicalSequence(g, seq) == seq;
+    const std::span<const core::Unit> edges(seq.data(), seq.size() - 1);
+    ASSERT_EQ(core::IsCanonicalEdgeExtension(g, edges, seq.back()), want)
+        << "trial " << trial << ", k=" << k;
+    ++(want ? canonical : rejected);
+  }
+  // Both answers are exercised.
+  EXPECT_GT(canonical, 1000u);
+  EXPECT_GT(rejected, 1000u);
+}
 
 // ---- Invariants -------------------------------------------------------------
 

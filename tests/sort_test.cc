@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "core/multimerge_sort.h"
@@ -85,6 +87,75 @@ TEST_P(SortMethodTest, AlreadySortedStaysSorted) {
   ASSERT_TRUE(SortKeys(&device, &keys, options).ok());
   EXPECT_EQ(keys, expected);
 }
+
+// Merge-shape inputs for the multi-merge methods. `segments` and
+// `subtasks` are pinned: they follow from the segmentation and the
+// checkpoints alone, so no change to the functional merge may move them.
+struct MergeCase {
+  const char* name;
+  std::vector<uint64_t> keys;
+  std::size_t segment_bytes;
+  std::size_t p_size;
+  std::size_t segments;
+  std::size_t subtasks;
+};
+
+std::vector<MergeCase> MergeCases() {
+  std::vector<MergeCase> cases;
+  // 1024 keys per 8 KiB segment.
+  cases.push_back({"odd-segments", RandomKeys(5 * 1024 - 100, 29), 8192,
+                   256, 5, 16});
+  {
+    // Each segment holds its own value range, so every checkpoint interval
+    // but one is empty in every segment but one.
+    Rng rng(31);
+    std::vector<uint64_t> keys;
+    for (uint64_t seg = 0; seg < 4; ++seg) {
+      for (int i = 0; i < 1024; ++i) {
+        keys.push_back((seg << 40) | rng.NextBounded(1u << 20));
+      }
+    }
+    cases.push_back({"empty-slices", std::move(keys), 8192, 128, 4, 29});
+  }
+  cases.push_back(
+      {"all-equal", std::vector<uint64_t>(10000, 7), 8192, 256, 10, 2});
+  {
+    Rng rng(37);
+    std::vector<uint64_t> keys(100000);
+    for (auto& k : keys) k = rng.NextBounded(20) * 0x9e3779b97f4a7c15ull;
+    cases.push_back({"heavy-duplicates", std::move(keys), 64 << 10, 1024, 13,
+                     12});
+  }
+  return cases;
+}
+
+class MultiMergeTest : public ::testing::TestWithParam<SortMethod> {};
+
+TEST_P(MultiMergeTest, MatchesStdSortWithUnchangedShape) {
+  for (MergeCase& c : MergeCases()) {
+    gpusim::Device device(TinyDevice());
+    std::vector<uint64_t> expected = c.keys;
+    std::sort(expected.begin(), expected.end());
+    SortOptions options;
+    options.method = GetParam();
+    options.segment_bytes = c.segment_bytes;
+    options.p_size = c.p_size;
+    auto r = SortKeys(&device, &c.keys, options);
+    ASSERT_TRUE(r.ok()) << c.name << ": " << r.status().ToString();
+    EXPECT_EQ(c.keys, expected) << c.name;
+    EXPECT_EQ(r.value().segments, c.segments) << c.name;
+    EXPECT_EQ(r.value().subtasks, c.subtasks) << c.name;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MergeMethods, MultiMergeTest,
+    ::testing::Values(SortMethod::kGammaMultiMerge, SortMethod::kNaiveMerge),
+    [](const ::testing::TestParamInfo<SortMethod>& info) {
+      std::string name = SortMethodName(info.param);
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
 
 INSTANTIATE_TEST_SUITE_P(
     AllMethods, SortMethodTest,

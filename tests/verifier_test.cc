@@ -401,6 +401,34 @@ std::string ReplaceOnce(std::string doc, const std::string& from,
   return doc;
 }
 
+TEST(VerifierGateTest, RefutesLoadedFpmPlanOutsideEdgeBudget) {
+  // A gamma.plan.v1 document can carry any max_edges the parser accepts;
+  // the verifier holds it to the compiler's [1, kMaxVertices - 1].
+  graph::Graph g = RandomLabeled(11, 60, 500);
+  core::PatternCompiler compiler(&g);
+  const std::string doc = compiler.CompileFpm(3, 40).value().ToJson();
+  gpusim::Device device(TestParams());
+  core::GammaEngine engine(&device, &g, {});
+  ASSERT_TRUE(engine.Prepare().ok());
+  const core::VerifyOptions options =
+      core::CompiledEngine(&engine).MakeVerifyOptions();
+  for (const char* edges : {"0", "8"}) {
+    auto loaded = core::ParsePlanJson(ReplaceOnce(
+        doc, "\"max_edges\": 3", std::string("\"max_edges\": ") + edges));
+    ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+    auto verified = core::VerifiedPlan::Make(loaded.value(), options);
+    ASSERT_FALSE(verified.ok()) << edges;
+    EXPECT_EQ(verified.status().code(), ErrorCode::kFailedPrecondition);
+    EXPECT_NE(verified.status().message().find("fpm-params"),
+              std::string::npos)
+        << verified.status().message();
+  }
+  auto seven = core::ParsePlanJson(
+      ReplaceOnce(doc, "\"max_edges\": 3", "\"max_edges\": 7"));
+  ASSERT_TRUE(seven.ok());
+  EXPECT_TRUE(core::VerifiedPlan::Make(seven.value(), options).ok());
+}
+
 TEST(PlanParseTest, RejectsMalformedDocuments) {
   graph::Graph g = RandomLabeled(11, 60, 500);
   core::PatternCompiler compiler(&g);
