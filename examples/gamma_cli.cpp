@@ -419,7 +419,8 @@ void PrintExplain(const core::CompiledPlan& plan) {
   for (std::size_t i = 0; i < plan.levels.size(); ++i) {
     const core::CompiledLevel& level = plan.levels[i];
     const int depth = plan.first_depth() + static_cast<int>(i);
-    const std::string name = "L" + std::to_string(depth);
+    std::string name = "L";
+    name += std::to_string(depth);
     std::printf("  %-7s %5d  %-10s %5s  %-14s %-9s %12.6g\n", name.c_str(),
                 depth, IntersectText(level.intersect_positions).c_str(),
                 LabelText(level.candidate_label).c_str(),

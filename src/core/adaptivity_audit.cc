@@ -7,107 +7,6 @@
 
 namespace gpm::core {
 
-namespace {
-
-uint64_t SatSub(uint64_t a, uint64_t b) { return a >= b ? a - b : 0; }
-
-}  // namespace
-
-ShadowCounters ShadowCounters::Diff(const ShadowCounters& since) const {
-  ShadowCounters d;
-  d.cycles = cycles - since.cycles;
-  d.um_page_faults = SatSub(um_page_faults, since.um_page_faults);
-  d.um_page_hits = SatSub(um_page_hits, since.um_page_hits);
-  d.um_migrated_bytes = SatSub(um_migrated_bytes, since.um_migrated_bytes);
-  d.um_evictions = SatSub(um_evictions, since.um_evictions);
-  d.zc_transactions = SatSub(zc_transactions, since.zc_transactions);
-  d.zc_bytes = SatSub(zc_bytes, since.zc_bytes);
-  return d;
-}
-
-void ShadowPageLru::Access(uint32_t region, std::size_t offset,
-                           std::size_t bytes) {
-  if (bytes == 0) return;
-  // Identical page split, cost arithmetic, and accumulation order to
-  // UnifiedMemory::Access: the per-call charge is summed locally and added
-  // to the running total once, so cycle totals stay bit-comparable with a
-  // real run that executed the same stream.
-  double cycles = 0;
-  const std::size_t page_bytes = params_.um_page_bytes;
-  uint64_t first_page = offset / page_bytes;
-  uint64_t last_page = (offset + bytes - 1) / page_bytes;
-  for (uint64_t p = first_page; p <= last_page; ++p) {
-    uint64_t key = PageKey(region, p);
-    std::size_t lo = std::max<std::size_t>(offset, p * page_bytes);
-    std::size_t hi =
-        std::min<std::size_t>(offset + bytes, (p + 1) * page_bytes);
-    std::size_t span = hi - lo;
-    auto it = resident_.find(key);
-    if (it != resident_.end()) {
-      ++counters_.um_page_hits;
-      cycles += params_.device_mem_latency_cycles +
-                static_cast<double>(span) / params_.device_bytes_per_cycle;
-      lru_.splice(lru_.begin(), lru_, it->second);
-    } else {
-      ++counters_.um_page_faults;
-      counters_.um_migrated_bytes += page_bytes;
-      cycles += params_.page_fault_cycles +
-                static_cast<double>(page_bytes) / params_.pcie_bytes_per_cycle;
-      Insert(key);
-    }
-  }
-  counters_.cycles += cycles;
-}
-
-void ShadowPageLru::ZeroCopy(std::size_t bytes) {
-  if (bytes == 0) return;
-  // Mirrors WarpCtx::ZeroCopyRead.
-  std::size_t ntx = (bytes + params_.zc_transaction_bytes - 1) /
-                    params_.zc_transaction_bytes;
-  counters_.zc_transactions += ntx;
-  counters_.zc_bytes += ntx * params_.zc_transaction_bytes;
-  counters_.cycles += params_.pcie_latency_cycles +
-                      static_cast<double>(ntx - 1) * params_.zc_pipelined_cycles;
-}
-
-void ShadowPageLru::Insert(uint64_t key) {
-  if (capacity_pages_ == 0) return;  // No buffer: behaves like re-faulting.
-  while (lru_.size() >= capacity_pages_) {
-    uint64_t victim = lru_.back();
-    resident_.erase(victim);
-    lru_.pop_back();
-    ++counters_.um_evictions;
-  }
-  lru_.push_front(key);
-  resident_.emplace(key, lru_.begin());
-}
-
-void ShadowPageLru::DropRegionTail(uint32_t region, std::size_t old_bytes,
-                                   std::size_t new_bytes) {
-  if (new_bytes >= old_bytes) return;
-  const std::size_t page_bytes = params_.um_page_bytes;
-  uint64_t first_stale = (new_bytes + page_bytes - 1) / page_bytes;
-  uint64_t last = old_bytes / page_bytes;
-  for (uint64_t p = first_stale; p <= last; ++p) {
-    auto it = resident_.find(PageKey(region, p));
-    if (it != resident_.end()) {
-      lru_.erase(it->second);
-      resident_.erase(it);
-    }
-  }
-}
-
-void ShadowPageLru::DropRegion(uint32_t region) {
-  for (auto it = resident_.begin(); it != resident_.end();) {
-    if ((it->first >> 48) == region) {
-      lru_.erase(it->second);
-      it = resident_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
 AdaptivityAudit::AdaptivityAudit(gpusim::Device* device,
                                  GraphPlacement placement)
     : device_(device),
@@ -130,8 +29,8 @@ void AdaptivityAudit::BeginExtension(std::size_t frontier_vertices,
   open_.planned_bytes = planned_bytes;
   stats_at_begin_ = device_->stats().Snapshot();
   actual_cycles_at_begin_ = actual_access_cycles_;
-  est_unified_at_begin_ = shadow_unified_.counters();
-  est_zerocopy_at_begin_ = shadow_zerocopy_.counters();
+  est_unified_at_begin_ = shadow_unified_.totals;
+  est_zerocopy_at_begin_ = shadow_zerocopy_.totals;
   extension_open_ = true;
 }
 
@@ -196,7 +95,7 @@ void AdaptivityAudit::OnGraphSpan(uint32_t region, std::size_t offset,
   for (std::size_t p = first; p <= last; ++p) {
     std::size_t lo = std::max(offset, p * page_bytes);
     std::size_t hi = std::min(offset + bytes, (p + 1) * page_bytes);
-    shadow_unified_.Access(region, lo, hi - lo);
+    shadow_unified_.Unified(region, lo, hi - lo);
     shadow_zerocopy_.ZeroCopy(hi - lo);
   }
 }
@@ -208,8 +107,8 @@ void AdaptivityAudit::OnUnifiedAccess(uint32_t region, std::size_t offset,
   // Non-graph unified traffic (labels, packed edges, table columns) stays
   // unified under every host placement: replay into both shadows so they
   // contend for page-buffer capacity exactly as in the pure runs.
-  shadow_unified_.Access(region, offset, bytes);
-  shadow_zerocopy_.Access(region, offset, bytes);
+  shadow_unified_.Unified(region, offset, bytes);
+  shadow_zerocopy_.Unified(region, offset, bytes);
 }
 
 void AdaptivityAudit::OnZeroCopy(std::size_t bytes, double cycles) {
@@ -223,13 +122,13 @@ void AdaptivityAudit::OnZeroCopy(std::size_t bytes, double cycles) {
 
 void AdaptivityAudit::OnRegionResized(uint32_t region, std::size_t old_bytes,
                                       std::size_t new_bytes) {
-  shadow_unified_.DropRegionTail(region, old_bytes, new_bytes);
-  shadow_zerocopy_.DropRegionTail(region, old_bytes, new_bytes);
+  shadow_unified_.buffer.DropRegionTail(region, old_bytes, new_bytes);
+  shadow_zerocopy_.buffer.DropRegionTail(region, old_bytes, new_bytes);
 }
 
 void AdaptivityAudit::OnRegionInvalidated(uint32_t region) {
-  shadow_unified_.DropRegion(region);
-  shadow_zerocopy_.DropRegion(region);
+  shadow_unified_.buffer.DropRegion(region);
+  shadow_zerocopy_.buffer.DropRegion(region);
 }
 
 void AdaptivityAudit::CloseOpenRecord() {
@@ -237,9 +136,8 @@ void AdaptivityAudit::CloseOpenRecord() {
   extension_open_ = false;
   open_.actual = device_->stats().Snapshot().Diff(stats_at_begin_);
   open_.actual_access_cycles = actual_access_cycles_ - actual_cycles_at_begin_;
-  open_.est_unified = shadow_unified_.counters().Diff(est_unified_at_begin_);
-  open_.est_zerocopy =
-      shadow_zerocopy_.counters().Diff(est_zerocopy_at_begin_);
+  open_.est_unified = shadow_unified_.totals.Diff(est_unified_at_begin_);
+  open_.est_zerocopy = shadow_zerocopy_.totals.Diff(est_zerocopy_at_begin_);
   open_.regret_cycles =
       open_.actual_access_cycles + open_.plan_cycles -
       std::min(open_.est_unified.cycles, open_.est_zerocopy.cycles);
@@ -253,8 +151,8 @@ double AdaptivityAudit::TotalRegretCycles() const {
   // (not the sum of per-record minima, which would grant the baseline an
   // oracle that re-picks the mode every extension).
   return actual_access_cycles_ + plan_cycles_total_ -
-         std::min(shadow_unified_.counters().cycles,
-                  shadow_zerocopy_.counters().cycles);
+         std::min(shadow_unified_.totals.cycles,
+                  shadow_zerocopy_.totals.cycles);
 }
 
 void AdaptivityAudit::Finalize() { CloseOpenRecord(); }
@@ -274,8 +172,8 @@ AdaptivitySummary AdaptivityAudit::Summary() {
                              static_cast<double>(records_.size());
   s.plan_cycles = plan_cycles_total_;
   s.actual_access_cycles = actual_access_cycles_;
-  s.est_unified_cycles = shadow_unified_.counters().cycles;
-  s.est_zerocopy_cycles = shadow_zerocopy_.counters().cycles;
+  s.est_unified_cycles = shadow_unified_.totals.cycles;
+  s.est_zerocopy_cycles = shadow_zerocopy_.totals.cycles;
   s.regret_cycles = TotalRegretCycles();
   return s;
 }

@@ -4,9 +4,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/access_heat.h"
@@ -15,68 +13,23 @@
 #include "gpusim/device.h"
 #include "gpusim/sim_params.h"
 #include "gpusim/stats.h"
+#include "gpusim/unified_memory.h"
 
 namespace gpm::core {
 
-/// Traffic a shadow cost model accumulated: the same fields the real
-/// DeviceStats tracks for host-memory access, plus the warp-stall cycles
-/// the modeled charges would have cost.
-struct ShadowCounters {
+/// Traffic a counterfactual placement accumulated: the DeviceStats its
+/// page buffer and zero-copy charges counted (only the host-memory access
+/// fields move), plus the warp-stall cycles those charges would have cost.
+struct ShadowCounters : gpusim::DeviceStats {
   double cycles = 0;
-  uint64_t um_page_faults = 0;
-  uint64_t um_page_hits = 0;
-  uint64_t um_migrated_bytes = 0;
-  uint64_t um_evictions = 0;
-  uint64_t zc_transactions = 0;
-  uint64_t zc_bytes = 0;
 
-  /// Per-field difference `*this - since` (counters saturate at zero).
-  ShadowCounters Diff(const ShadowCounters& since) const;
-};
-
-/// Shadow replica of the unified-memory page buffer.
-///
-/// Replays an access stream through the exact LRU + cost arithmetic of
-/// `gpusim::UnifiedMemory::Access` (and `WarpCtx::ZeroCopyRead` for the
-/// zero-copy formula) without touching the real buffer, so a hybrid run
-/// can cost the same stream as if a pure placement had executed it. The
-/// per-access charge is summed locally and added to the running total
-/// once, matching the real accumulation order bit-for-bit.
-class ShadowPageLru {
- public:
-  ShadowPageLru(const gpusim::SimParams& params, std::size_t capacity_pages)
-      : params_(params), capacity_pages_(capacity_pages) {}
-
-  /// Replays a unified access of `[offset, offset + bytes)` in `region`.
-  void Access(uint32_t region, std::size_t offset, std::size_t bytes);
-
-  /// Replays a zero-copy charge of `bytes` (128 B transaction model).
-  void ZeroCopy(std::size_t bytes);
-
-  /// Mirrors UnifiedMemory::ResizeRegion: drops buffered pages past the
-  /// new size when the region shrank.
-  void DropRegionTail(uint32_t region, std::size_t old_bytes,
-                      std::size_t new_bytes);
-
-  /// Mirrors UnifiedMemory::InvalidateRegion.
-  void DropRegion(uint32_t region);
-
-  const ShadowCounters& counters() const { return counters_; }
-  std::size_t resident_pages() const { return lru_.size(); }
-
- private:
-  static uint64_t PageKey(uint32_t region, uint64_t page) {
-    return (static_cast<uint64_t>(region) << 48) | page;
+  /// Difference `*this - since` (counters saturate at zero).
+  ShadowCounters Diff(const ShadowCounters& since) const {
+    ShadowCounters d;
+    static_cast<gpusim::DeviceStats&>(d) = DeviceStats::Diff(since);
+    d.cycles = cycles - since.cycles;
+    return d;
   }
-  void Insert(uint64_t key);
-
-  gpusim::SimParams params_;
-  std::size_t capacity_pages_;
-  ShadowCounters counters_;
-  // LRU over resident pages: front = most recent (same shape as the real
-  // buffer so eviction order matches exactly).
-  std::list<uint64_t> lru_;
-  std::unordered_map<uint64_t, std::list<uint64_t>::iterator> resident_;
 };
 
 /// Number of buckets in the per-record heat histogram: bucket 0 counts
@@ -140,14 +93,14 @@ struct AdaptivitySummary {
 ///
 /// Attached as the device's AccessObserver, the audit sees every real
 /// unified/zero-copy charge and replays the identical access stream
-/// through two shadow models: a ShadowPageLru costing the run as if
-/// UnifiedOnly, and the 128 B-transaction arithmetic as if ZeroCopyOnly
-/// (graph spans only — labels, packed edges, and embedding-table columns
-/// stay unified under every host placement and are replayed into both
-/// shadow buffers, where they contend for capacity exactly as they would
-/// in the pure run). GraphAccessor routes graph spans through OnGraphSpan
-/// and brackets its real charges with SpanGuard so they are not replayed
-/// twice.
+/// through two shadow placements, each its own instance of the device's
+/// `gpusim::PageBuffer` plus `gpusim::ZeroCopyCharge`: one costing the run
+/// as if UnifiedOnly, one as if ZeroCopyOnly (graph spans only — labels,
+/// packed edges, and embedding-table columns stay unified under every
+/// host placement and are replayed into both shadow buffers, where they
+/// contend for capacity exactly as they would in the pure run).
+/// GraphAccessor routes graph spans through OnGraphSpan and brackets its
+/// real charges with SpanGuard so they are not replayed twice.
 ///
 /// Because functional execution is placement-independent, a pure run
 /// observes the same access stream the hybrid run replays — so the
@@ -229,10 +182,10 @@ class AdaptivityAudit : public gpusim::AccessObserver {
   /// Cumulative shadow totals from attach — the counter counterpart of
   /// Summary()'s est_*_cycles (which are these structs' cycles fields).
   const ShadowCounters& unified_shadow_totals() const {
-    return shadow_unified_.counters();
+    return shadow_unified_.totals;
   }
   const ShadowCounters& zerocopy_shadow_totals() const {
-    return shadow_zerocopy_.counters();
+    return shadow_zerocopy_.totals;
   }
 
   /// Whole-run totals (accumulated from attach, so traffic before the
@@ -243,13 +196,30 @@ class AdaptivityAudit : public gpusim::AccessObserver {
   std::string ToJson();
 
  private:
+  /// One counterfactual pure placement: its own page buffer, sized like
+  /// the device's, counting into its own totals.
+  struct Shadow {
+    Shadow(const gpusim::SimParams& params, std::size_t capacity_pages)
+        : params(params), buffer(params, capacity_pages, &totals) {}
+    void Unified(uint32_t region, std::size_t offset, std::size_t bytes) {
+      totals.cycles += buffer.Access(region, offset, bytes).cycles;
+    }
+    void ZeroCopy(std::size_t bytes) {
+      totals.cycles += gpusim::ZeroCopyCharge(params, bytes, &totals).cycles;
+    }
+
+    const gpusim::SimParams& params;
+    ShadowCounters totals;
+    gpusim::PageBuffer buffer;
+  };
+
   void CloseOpenRecord();
   double TotalRegretCycles() const;
 
   gpusim::Device* device_;
   GraphPlacement placement_;
-  ShadowPageLru shadow_unified_;
-  ShadowPageLru shadow_zerocopy_;
+  Shadow shadow_unified_;
+  Shadow shadow_zerocopy_;
 
   double actual_access_cycles_ = 0;  // cumulative observed charges
   double plan_cycles_total_ = 0;

@@ -109,24 +109,21 @@ void PlanProfiler::BeginSegment(PlanProfLevelInput input) {
   seg.strategy = std::move(input.strategy);
   segments_.push_back(std::move(seg));
   segment_open_ = true;
-  // The marker carries no clock edge and is skipped by the critpath
-  // replay; it only lets the analyzer window this segment's commands.
+  // The device's phase entry holds the segment's window. Its markers
+  // carry no clock edge and are skipped by the critpath replay; they only
+  // let the analyzer window this segment's commands.
   device_->BeginPhaseMark(MarkerName(run_seq_, segments_.back().label),
                           /*segment=*/true);
-  seg_begin_cycles_ = device_->now_cycles();
-  seg_begin_stats_ = device_->stats().Snapshot();
-  seg_cmd_begin_ = device_->critpath().commands().size();
 }
 
 void PlanProfiler::EndSegment(uint64_t input_rows, uint64_t candidates,
                               uint64_t rows) {
   GAMMA_CHECK(segment_open_) << "EndSegment without BeginSegment";
   PlanProfSegment& seg = segments_.back();
-  seg.cycles = device_->now_cycles() - seg_begin_cycles_;
-  seg.counters = device_->stats().Diff(seg_begin_stats_);
-  const std::size_t cmd_end = device_->critpath().commands().size();
-  device_->EndPhaseMark();
+  const gpusim::PhaseWindow window = device_->EndPhaseMark();
   segment_open_ = false;
+  seg.cycles = window.cycles;
+  seg.counters = window.delta;
 
   seg.input_rows = input_rows;
   seg.candidates = candidates;
@@ -138,7 +135,7 @@ void PlanProfiler::EndSegment(uint64_t input_rows, uint64_t candidates,
 
   // Per-warp-slot histogram over the window's kernel records.
   const auto& cmds = device_->critpath().commands();
-  for (std::size_t i = seg_cmd_begin_; i < cmd_end; ++i) {
+  for (std::size_t i = window.first_command; i < window.end_command; ++i) {
     const prof::CommandRecord& rec = cmds[i];
     if (rec.kind != prof::CommandRecord::Kind::kKernel) continue;
     ++seg.kernels;

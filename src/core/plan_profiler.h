@@ -104,13 +104,13 @@ struct PlanProfSummary {
 /// inputs that drove it, per-level resource-class attribution (via
 /// critpath phase markers), and a per-warp-slot load-imbalance histogram.
 ///
-/// Observation only: the profiler reads the clock, counter snapshots, and
-/// the command log, and brackets each level with phase markers — none of
-/// which carries a clock edge — so a profiled run is bit-identical in
-/// cycles and DeviceStats to an unprofiled one (enforced by
-/// planprof_test). Attribution and slot histograms additionally need
-/// DeviceParams::record_commands; without it the run still profiles rows,
-/// Q-error, cycles, and counters.
+/// Observation only: each level is one segment on the device's phase
+/// stack, whose window (cycles, counter deltas, command range) the
+/// profiler reads back when the segment closes; its markers carry no clock
+/// edge, so a profiled run is bit-identical in cycles and DeviceStats to
+/// an unprofiled one (enforced by planprof_test). Attribution and slot
+/// histograms additionally need SimParams::record_commands; without it
+/// the run still profiles rows, Q-error, cycles, and counters.
 class PlanProfiler {
  public:
   // -- Hooks driven by CompiledEngine ---------------------------------------
@@ -154,11 +154,8 @@ class PlanProfiler {
   double run_begin_cycles_ = 0;
   double total_cycles_ = 0;
 
-  // Open-segment bookkeeping.
+  // The open segment's window lives on the device's phase stack.
   bool segment_open_ = false;
-  double seg_begin_cycles_ = 0;
-  gpusim::DeviceStats seg_begin_stats_;
-  std::size_t seg_cmd_begin_ = 0;
 };
 
 }  // namespace gpm::core

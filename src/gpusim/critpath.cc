@@ -611,8 +611,14 @@ Result<CritpathReport> Analyze(const CommandLog& log,
   std::vector<std::pair<std::string, std::pair<std::size_t, double>>>
       open_phases;
   std::vector<PhaseInstance> instances;
+  // Per command: log index of the innermost open begin marker, -1 outside
+  // every phase. Spans take their phase name from it.
+  std::vector<int32_t> enclosing(cmds.size(), -1);
   for (std::size_t i = 0; i < cmds.size(); ++i) {
     const CommandRecord& rec = cmds[i];
+    if (!open_phases.empty()) {
+      enclosing[i] = static_cast<int32_t>(open_phases.back().second.first);
+    }
     const auto idx = static_cast<int32_t>(i);
     if (rec.wait_pred >= idx) {
       return Status::InvalidArgument(
@@ -699,7 +705,9 @@ Result<CritpathReport> Analyze(const CommandLog& log,
     info.index = static_cast<int32_t>(i);
     info.kind = cmds[i].kind;
     info.name = cmds[i].name;
-    info.phase = cmds[i].phase;
+    if (enclosing[i] >= 0) {
+      info.phase = cmds[static_cast<std::size_t>(enclosing[i])].name;
+    }
     info.stream = cmds[i].stream;
     info.start = replay.nodes[i].start;
     info.end = replay.nodes[i].end;

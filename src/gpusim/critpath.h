@@ -20,13 +20,16 @@ class Device;
 ///
 /// The Device records one CommandRecord per timeline command (kernel
 /// launch, explicit copy, host work, event wait, synchronize, ...) into a
-/// CommandLog when enabled. The log is the device's only timeline
-/// recorder: the Chrome trace (gpusim/trace.h), the profile's kernel table
-/// and the plan profiler are views computed from it after the run.
-/// `Analyze` rebuilds the dependency DAG from the log — stream order,
-/// event edges, PCIe-link serialization — and computes the critical path,
-/// per-span slack, per-phase binding resource, and what-if projections
-/// that rescale one resource class and replay the DAG.
+/// CommandLog when enabled, plus a zero-duration begin/end marker wherever
+/// a phase or plan-profiler segment opens or closes. The log is the
+/// device's only timeline recorder: the Chrome trace (gpusim/trace.h), the
+/// profile's kernel table and the plan profiler are views computed from it
+/// after the run. `Analyze` rebuilds the dependency DAG from the log —
+/// stream order, event edges, PCIe-link serialization — and computes the
+/// critical path, per-span slack, per-phase binding resource, and what-if
+/// projections that rescale one resource class and replay the DAG. A
+/// command's phase is not stored on it: `Analyze` walks the markers and
+/// gives each span the innermost phase open around it.
 ///
 /// Exactness contract: the replay reuses the simulator's own arithmetic
 /// (the same `max(ready, link_free) + transfer` / `work_start + makespan`
@@ -49,15 +52,13 @@ struct CommandRecord {
     kSynchronize,   // device-wide join of all stream clocks
     kFastForward,   // FastForwardStream: max-join with "now"
     kCreateStream,  // stream creation (clock starts at the join point)
-    kPhaseBegin,    // PhaseScope open marker (zero duration)
-    kPhaseEnd,      // PhaseScope close marker (zero duration)
+    kPhaseBegin,    // phase or segment open marker (zero duration)
+    kPhaseEnd,      // phase or segment close marker (zero duration)
   };
 
   Kind kind = Kind::kHostWork;
   gpusim::StreamId stream = gpusim::kDefaultStream;
-  std::string name;
-  /// Innermost open phase at submission ("" outside every phase).
-  std::string phase;
+  std::string name;  ///< the command's label; a marker's phase name
   double start = 0;
   double end = 0;
 
@@ -103,8 +104,9 @@ struct CommandRecord {
   std::vector<double> slot_finish;
 
   /// Phase markers only: true for a plan-profiler segment, false for a
-  /// PhaseScope. Commands inside a segment still carry its name as their
-  /// `phase`; the sanitizer and the trace's phase track skip segments.
+  /// PhaseScope. A segment is a phase like any other to `Analyze` (spans
+  /// inside it take its name as their `phase`); the sanitizer and the
+  /// trace's phase track skip segments.
   bool segment = false;
 };
 
@@ -246,6 +248,8 @@ struct SpanInfo {
   int32_t index = -1;
   CommandRecord::Kind kind = CommandRecord::Kind::kHostWork;
   std::string name;
+  /// Innermost phase or segment whose markers enclose the command ("" when
+  /// none does).
   std::string phase;
   gpusim::StreamId stream = gpusim::kDefaultStream;
   double start = 0;

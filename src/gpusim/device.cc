@@ -90,6 +90,31 @@ void Device::EnableSanitizer(Sanitizer::Options options) {
   }
 }
 
+void Device::BeginPhaseMark(std::string name, bool segment) {
+  OpenPhase phase;
+  phase.name = std::move(name);
+  phase.segment = segment;
+  phase.start_cycles = clock_cycles_;
+  phase.start_stats = stats_.Snapshot();
+  phase_stack_.push_back(std::move(phase));
+  AppendPhaseMarker(CmdKind::kPhaseBegin);
+  phase_stack_.back().first_command = critpath_.commands().size();
+}
+
+PhaseWindow Device::EndPhaseMark() {
+  PhaseWindow window;
+  if (phase_stack_.empty()) return window;
+  const OpenPhase& phase = phase_stack_.back();
+  window.cycles = clock_cycles_ - phase.start_cycles;
+  window.delta = stats_.Diff(phase.start_stats);
+  window.first_command = phase.first_command;
+  window.end_command = critpath_.commands().size();
+  AppendPhaseMarker(CmdKind::kPhaseEnd);
+  if (!phase.segment) profile_.Record(phase.name, window.cycles, window.delta);
+  phase_stack_.pop_back();
+  return window;
+}
+
 StreamId Device::WorkerStream(int i) {
   GAMMA_CHECK(i >= 0) << "negative worker stream index";
   while (static_cast<int>(worker_streams_.size()) <= i) {
@@ -127,13 +152,7 @@ double Device::CopyAsync(StreamId stream, std::size_t bytes,
   streams_.set_cycles(stream, end);
   clock_cycles_ = streams_.now_cycles();
   if (record_cmds) {
-    prof::CommandRecord rec;
-    rec.kind = prof::CommandRecord::Kind::kCopy;
-    rec.stream = stream;
-    rec.name = name;
-    rec.phase = current_phase();
-    rec.start = start;
-    rec.end = end;
+    prof::CommandRecord rec = Stamp(CmdKind::kCopy, stream, name, start, end);
     rec.latency = params_.pcie_latency_cycles;
     rec.link_transfer = transfer;
     rec.link_ready = ready;

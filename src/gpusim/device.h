@@ -63,9 +63,10 @@ class Device {
   HostMemoryTracker& host_tracker() { return host_tracker_; }
   const HostMemoryTracker& host_tracker() const { return host_tracker_; }
 
-  /// Per-run phase attribution, filled by PhaseScope (the engine opens one
-  /// per primitive call). Lives on the device so that any component that
-  /// can charge traffic can also be profiled against it.
+  /// Per-run phase attribution: every closed PhaseScope phase is recorded
+  /// here (the engine opens one per primitive call). Lives on the device
+  /// so that any component that can charge traffic can also be profiled
+  /// against it.
   RunProfile& profile() { return profile_; }
   const RunProfile& profile() const { return profile_; }
 
@@ -139,26 +140,18 @@ class Device {
   void BeginSortActivity() { ++sort_depth_; }
   void EndSortActivity() { --sort_depth_; }
 
-  /// Phase bracket, driven by PhaseScope and (with `segment` set) by the
-  /// plan profiler's level segments. The stack is always maintained
-  /// (cheap) and is the one the sanitizer reads; begin/end marker records
-  /// are appended only while the command log is enabled, so the analyzer
-  /// can attribute spans to phases.
-  void BeginPhaseMark(const std::string& name, bool segment = false) {
-    phase_stack_.push_back({name, segment});
-    AppendPhaseMarker(prof::CommandRecord::Kind::kPhaseBegin);
-  }
-  void EndPhaseMark() {
-    if (phase_stack_.empty()) return;
-    AppendPhaseMarker(prof::CommandRecord::Kind::kPhaseEnd);
-    phase_stack_.pop_back();
-  }
+  /// The one phase bracket, driven by PhaseScope and (with `segment` set)
+  /// by the plan profiler's level segments. Each open entry holds its
+  /// window's start (clock, counter snapshot, first command index). The
+  /// stack is always maintained and is the one the sanitizer reads;
+  /// begin/end marker records are appended only while the command log is
+  /// enabled, so the analyzer can attribute spans to phases.
+  void BeginPhaseMark(std::string name, bool segment = false);
 
-  /// Innermost open phase or segment name, or "" outside every phase.
-  const std::string& current_phase() const {
-    static const std::string kEmpty;
-    return phase_stack_.empty() ? kEmpty : phase_stack_.back().name;
-  }
+  /// Closes the innermost open phase and returns its window (an empty one
+  /// when none is open). A PhaseScope phase is also recorded into
+  /// profile(); a segment's window is only returned.
+  PhaseWindow EndPhaseMark();
 
   // -- Streams and events -----------------------------------------------------
 
@@ -169,13 +162,9 @@ class Device {
   StreamId CreateStream() {
     StreamId id = streams_.CreateStream();
     if (critpath_.enabled()) {
-      prof::CommandRecord rec;
-      rec.kind = prof::CommandRecord::Kind::kCreateStream;
-      rec.stream = id;
-      rec.name = "create-stream";
-      rec.phase = current_phase();
-      rec.start = rec.end = streams_.cycles(id);
-      critpath_.Append(std::move(rec));
+      const double t = streams_.cycles(id);
+      critpath_.Append(
+          Stamp(CmdKind::kCreateStream, id, "create-stream", t, t));
     }
     return id;
   }
@@ -210,13 +199,9 @@ class Device {
     clock_cycles_ = streams_.now_cycles();
     if (sanitizer_ != nullptr) sanitizer_->OnEventWait(stream, event.san_seq_);
     if (log) {
-      prof::CommandRecord rec;
-      rec.kind = prof::CommandRecord::Kind::kEventWait;
-      rec.stream = stream;
-      rec.name = "wait-event";
-      rec.phase = current_phase();
-      rec.start = before;
-      rec.end = streams_.cycles(stream);
+      prof::CommandRecord rec = Stamp(CmdKind::kEventWait, stream,
+                                      "wait-event", before,
+                                      streams_.cycles(stream));
       rec.wait_pred = event.cp_cmd_;
       rec.wait_cycles = event.cycles();
       critpath_.Append(std::move(rec));
@@ -229,12 +214,8 @@ class Device {
     metrics_.MaybeSample(*this);
     if (sanitizer_ != nullptr) sanitizer_->OnSynchronize();
     if (critpath_.enabled()) {
-      prof::CommandRecord rec;
-      rec.kind = prof::CommandRecord::Kind::kSynchronize;
-      rec.name = "synchronize";
-      rec.phase = current_phase();
-      rec.start = rec.end = clock_cycles_;
-      critpath_.Append(std::move(rec));
+      critpath_.Append(Stamp(CmdKind::kSynchronize, kDefaultStream,
+                             "synchronize", clock_cycles_, clock_cycles_));
     }
     return clock_cycles_;
   }
@@ -247,14 +228,8 @@ class Device {
     streams_.FastForward(stream);
     if (sanitizer_ != nullptr) sanitizer_->OnFastForward(stream);
     if (log) {
-      prof::CommandRecord rec;
-      rec.kind = prof::CommandRecord::Kind::kFastForward;
-      rec.stream = stream;
-      rec.name = "fast-forward";
-      rec.phase = current_phase();
-      rec.start = before;
-      rec.end = streams_.cycles(stream);
-      critpath_.Append(std::move(rec));
+      critpath_.Append(Stamp(CmdKind::kFastForward, stream, "fast-forward",
+                             before, streams_.cycles(stream)));
     }
   }
 
@@ -291,13 +266,9 @@ class Device {
     clock_cycles_ = streams_.now_cycles();
     metrics_.MaybeSample(*this);
     if (log) {
-      prof::CommandRecord rec;
-      rec.kind = prof::CommandRecord::Kind::kHostWork;
-      rec.stream = stream;
-      rec.name = "host-work";
-      rec.phase = current_phase();
-      rec.start = before;
-      rec.end = streams_.cycles(stream);
+      prof::CommandRecord rec = Stamp(CmdKind::kHostWork, stream,
+                                      "host-work", before,
+                                      streams_.cycles(stream));
       rec.charge = cycles;
       rec.host_class =
           static_cast<int8_t>(EffectiveClass(ResourceClass::kCompute));
@@ -443,13 +414,8 @@ class Device {
     clock_cycles_ = streams_.now_cycles();
     const double kernel_cycles = end_cycles - start_cycles;
     if (record_cmds) {
-      prof::CommandRecord rec;
-      rec.kind = prof::CommandRecord::Kind::kKernel;
-      rec.stream = stream;
-      rec.name = name;
-      rec.phase = current_phase();
-      rec.start = start_cycles;
-      rec.end = end_cycles;
+      prof::CommandRecord rec =
+          Stamp(CmdKind::kKernel, stream, name, start_cycles, end_cycles);
       rec.launch_cycles = params_.kernel_launch_cycles;
       rec.makespan = makespan;
       rec.busy = slot_busy[static_cast<std::size_t>(busiest_slot)];
@@ -481,15 +447,30 @@ class Device {
   /// advance, and the gamma-prof command record.
   double CopyAsync(StreamId stream, std::size_t bytes, const char* name);
 
-  /// Appends a zero-duration begin/end marker for the innermost open phase
-  /// (a no-op while the log is disabled).
-  void AppendPhaseMarker(prof::CommandRecord::Kind kind) {
-    if (!critpath_.enabled()) return;
+  using CmdKind = prof::CommandRecord::Kind;
+
+  /// A command record of `kind` on `stream` spanning [start, end]; the
+  /// caller fills the kind-specific fields and appends it to the log.
+  static prof::CommandRecord Stamp(CmdKind kind, StreamId stream,
+                                   std::string name, double start,
+                                   double end) {
     prof::CommandRecord rec;
     rec.kind = kind;
-    rec.name = phase_stack_.back().name;
+    rec.stream = stream;
+    rec.name = std::move(name);
+    rec.start = start;
+    rec.end = end;
+    return rec;
+  }
+
+  /// Appends a zero-duration begin/end marker for the innermost open phase
+  /// (a no-op while the log is disabled).
+  void AppendPhaseMarker(CmdKind kind) {
+    if (!critpath_.enabled()) return;
+    prof::CommandRecord rec =
+        Stamp(kind, kDefaultStream, phase_stack_.back().name, clock_cycles_,
+              clock_cycles_);
     rec.segment = phase_stack_.back().segment;
-    rec.start = rec.end = clock_cycles_;
     critpath_.Append(std::move(rec));
   }
 

@@ -1,6 +1,7 @@
 #include "gpusim/profile.h"
 
 #include <sstream>
+#include <utility>
 
 #include "common/json.h"
 #include "gpusim/device.h"
@@ -92,23 +93,10 @@ std::string RunProfile::ToJson(const Device& device) const {
   return os.str();
 }
 
-PhaseScope::PhaseScope(Device* device, RunProfile* profile, std::string name)
-    : device_(device),
-      profile_(profile),
-      name_(std::move(name)),
-      start_cycles_(device->now_cycles()),
-      start_stats_(device->stats().Snapshot()) {
-  // Commands and sanitizer findings are attributed to the innermost open
-  // phase; the log's markers let the critpath analyzer and the Chrome
-  // trace rebuild the phase windows.
-  device_->BeginPhaseMark(name_);
+PhaseScope::PhaseScope(Device* device, std::string name) : device_(device) {
+  device_->BeginPhaseMark(std::move(name));
 }
 
-PhaseScope::~PhaseScope() {
-  device_->EndPhaseMark();
-  if (profile_ == nullptr) return;
-  profile_->Record(name_, device_->now_cycles() - start_cycles_,
-                   device_->stats().Diff(start_stats_));
-}
+PhaseScope::~PhaseScope() { device_->EndPhaseMark(); }
 
 }  // namespace gpm::gpusim

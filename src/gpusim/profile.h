@@ -1,6 +1,7 @@
 #ifndef GAMMA_GPUSIM_PROFILE_H_
 #define GAMMA_GPUSIM_PROFILE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -14,10 +15,23 @@ class Device;
 
 /// One entry of the Device's open-phase stack (innermost last): a
 /// PhaseScope phase, or a plan-profiler segment (`segment` = true) that
-/// only windows the command log.
+/// is not recorded into the RunProfile. It holds where its window starts.
 struct OpenPhase {
   std::string name;
   bool segment = false;
+  double start_cycles = 0;
+  DeviceStats start_stats;
+  std::size_t first_command = 0;  ///< first log index after the begin marker
+};
+
+/// What a closed phase covered: its simulated cycles, its counter deltas,
+/// and the command-log index range [first_command, end_command) between
+/// its begin and end markers.
+struct PhaseWindow {
+  double cycles = 0;
+  DeviceStats delta;
+  std::size_t first_command = 0;
+  std::size_t end_command = 0;
 };
 
 /// One named slice of a run: simulated cycles spent inside the phase and
@@ -61,14 +75,14 @@ class RunProfile {
   std::vector<PhaseRecord> phases_;
 };
 
-/// RAII phase marker: snapshots the device clock and counters at
-/// construction and attributes the difference to `name` in `profile` at
-/// destruction. It also opens the phase on the device's phase stack, so
-/// commands, sanitizer findings, and (while the log is enabled) the
-/// command log's phase markers see it — with or without a profile.
+/// RAII phase bracket: opens `name` on the device's phase stack at
+/// construction and closes it at destruction, which records the window's
+/// clock and counter deltas into the device's RunProfile. While open, the
+/// phase is what sanitizer findings and (while the log is enabled) the
+/// command log's phase markers see.
 class PhaseScope {
  public:
-  PhaseScope(Device* device, RunProfile* profile, std::string name);
+  PhaseScope(Device* device, std::string name);
   ~PhaseScope();
 
   PhaseScope(const PhaseScope&) = delete;
@@ -76,10 +90,6 @@ class PhaseScope {
 
  private:
   Device* device_;
-  RunProfile* profile_;
-  std::string name_;
-  double start_cycles_ = 0;
-  DeviceStats start_stats_;
 };
 
 }  // namespace gpm::gpusim

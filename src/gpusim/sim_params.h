@@ -94,9 +94,9 @@ struct SimParams {
   /// simulated results.
   bool record_commands = false;
 
-  /// Arms the timeline recorder and per-kernel records at construction
-  /// (equivalent to set_trace_enabled(true) + trace().set_enabled(true)),
-  /// so harnesses that build the Device behind a helper can export traces.
+  /// Arms the command log at construction with its timeline detail (UM
+  /// page and adaptivity instants, per-slot finish times), so harnesses
+  /// that build the Device behind a helper can export traces.
   bool record_timeline = false;
 
   double CyclesToSeconds(double cycles) const {

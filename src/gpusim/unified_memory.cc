@@ -31,88 +31,8 @@ void TracePage(prof::CommandLog* log, const double* now_cycles,
 
 }  // namespace
 
-UnifiedMemory::RegionId UnifiedMemory::Register(std::size_t bytes) {
-  RegionId id = next_region_++;
-  region_bytes_.emplace(id, bytes);
-  if (sanitizer_ != nullptr) sanitizer_->OnRegionRegister(id, bytes);
-  return id;
-}
-
-void UnifiedMemory::ResizeRegion(RegionId region, std::size_t new_bytes) {
-  auto it = region_bytes_.find(region);
-  GAMMA_CHECK(it != region_bytes_.end()) << "resize of unknown UM region";
-  std::size_t old_bytes = it->second;
-  it->second = new_bytes;
-  if (sanitizer_ != nullptr) sanitizer_->OnRegionResize(region, new_bytes);
-  if (observer_ != nullptr) {
-    observer_->OnRegionResized(region, old_bytes, new_bytes);
-  }
-  if (new_bytes < old_bytes) {
-    uint64_t first_stale = (new_bytes + params_.um_page_bytes - 1) /
-                           params_.um_page_bytes;
-    uint64_t last = old_bytes / params_.um_page_bytes;
-    for (uint64_t p = first_stale; p <= last; ++p) {
-      auto rit = resident_.find(PageKey(region, p));
-      if (rit != resident_.end()) {
-        lru_.erase(rit->second);
-        resident_.erase(rit);
-      }
-    }
-  }
-}
-
-std::size_t UnifiedMemory::PrefetchPage(RegionId region,
-                                        std::size_t offset) {
-  uint64_t page = offset / params_.um_page_bytes;
-  uint64_t key = PageKey(region, page);
-  if (resident_.count(key) > 0) {
-    Touch(key);
-    return 0;
-  }
-  InsertPage(key);
-  stats_->um_migrated_bytes += params_.um_page_bytes;
-  TracePage(trace_, now_cycles_, Instant::kUmPrefetch, region, page);
-  return params_.um_page_bytes;
-}
-
-void UnifiedMemory::InvalidateRegion(RegionId region) {
-  if (observer_ != nullptr) observer_->OnRegionInvalidated(region);
-  for (auto it = resident_.begin(); it != resident_.end();) {
-    if ((it->first >> 48) == region) {
-      lru_.erase(it->second);
-      it = resident_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-bool UnifiedMemory::IsResident(RegionId region, std::size_t offset) const {
-  return resident_.count(PageKey(region, offset / params_.um_page_bytes)) >
-         0;
-}
-
-void UnifiedMemory::Touch(uint64_t key) {
-  auto it = resident_.find(key);
-  lru_.splice(lru_.begin(), lru_, it->second);
-}
-
-void UnifiedMemory::InsertPage(uint64_t key) {
-  if (capacity_pages_ == 0) return;  // No buffer: behaves like re-faulting.
-  while (lru_.size() >= capacity_pages_) {
-    uint64_t victim = lru_.back();
-    resident_.erase(victim);
-    lru_.pop_back();
-    ++stats_->um_evictions;
-    TracePage(trace_, now_cycles_, Instant::kUmEviction,
-              static_cast<RegionId>(victim >> 48), victim & kPageMask);
-  }
-  lru_.push_front(key);
-  resident_.emplace(key, lru_.begin());
-}
-
-AccessCharge UnifiedMemory::Access(RegionId region, std::size_t offset,
-                                   std::size_t bytes) {
+AccessCharge PageBuffer::Access(uint32_t region, std::size_t offset,
+                                std::size_t bytes) {
   AccessCharge charge;
   if (bytes == 0) return charge;
   const std::size_t page_bytes = params_.um_page_bytes;
@@ -134,7 +54,7 @@ AccessCharge UnifiedMemory::Access(RegionId region, std::size_t offset,
       charge.hit_cycles += params_.device_mem_latency_cycles +
                            static_cast<double>(span) /
                                params_.device_bytes_per_cycle;
-      Touch(key);
+      lru_.splice(lru_.begin(), lru_, it->second);
       TracePage(trace_, now_cycles_, Instant::kUmHit, region, p);
     } else {
       // Page fault: fault handling plus whole-page migration.
@@ -151,7 +71,91 @@ AccessCharge UnifiedMemory::Access(RegionId region, std::size_t offset,
       InsertPage(key);
     }
   }
+  return charge;
+}
+
+std::size_t PageBuffer::Prefetch(uint32_t region, std::size_t offset) {
+  uint64_t page = offset / params_.um_page_bytes;
+  uint64_t key = PageKey(region, page);
+  auto it = resident_.find(key);
+  if (it != resident_.end()) {
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return 0;
+  }
+  InsertPage(key);
+  stats_->um_migrated_bytes += params_.um_page_bytes;
+  TracePage(trace_, now_cycles_, Instant::kUmPrefetch, region, page);
+  return params_.um_page_bytes;
+}
+
+void PageBuffer::DropRegionTail(uint32_t region, std::size_t old_bytes,
+                                std::size_t new_bytes) {
+  if (new_bytes >= old_bytes) return;
+  const std::size_t page_bytes = params_.um_page_bytes;
+  uint64_t first_stale = (new_bytes + page_bytes - 1) / page_bytes;
+  uint64_t last = old_bytes / page_bytes;
+  for (uint64_t p = first_stale; p <= last; ++p) {
+    auto it = resident_.find(PageKey(region, p));
+    if (it != resident_.end()) {
+      lru_.erase(it->second);
+      resident_.erase(it);
+    }
+  }
+}
+
+void PageBuffer::DropRegion(uint32_t region) {
+  for (auto it = resident_.begin(); it != resident_.end();) {
+    if ((it->first >> 48) == region) {
+      lru_.erase(it->second);
+      it = resident_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+}
+
+void PageBuffer::InsertPage(uint64_t key) {
+  if (capacity_pages_ == 0) return;  // No buffer: behaves like re-faulting.
+  while (lru_.size() >= capacity_pages_) {
+    uint64_t victim = lru_.back();
+    resident_.erase(victim);
+    lru_.pop_back();
+    ++stats_->um_evictions;
+    TracePage(trace_, now_cycles_, Instant::kUmEviction,
+              static_cast<uint32_t>(victim >> 48), victim & kPageMask);
+  }
+  lru_.push_front(key);
+  resident_.emplace(key, lru_.begin());
+}
+
+UnifiedMemory::RegionId UnifiedMemory::Register(std::size_t bytes) {
+  RegionId id = next_region_++;
+  region_bytes_.emplace(id, bytes);
+  if (sanitizer_ != nullptr) sanitizer_->OnRegionRegister(id, bytes);
+  return id;
+}
+
+void UnifiedMemory::ResizeRegion(RegionId region, std::size_t new_bytes) {
+  auto it = region_bytes_.find(region);
+  GAMMA_CHECK(it != region_bytes_.end()) << "resize of unknown UM region";
+  std::size_t old_bytes = it->second;
+  it->second = new_bytes;
+  if (sanitizer_ != nullptr) sanitizer_->OnRegionResize(region, new_bytes);
   if (observer_ != nullptr) {
+    observer_->OnRegionResized(region, old_bytes, new_bytes);
+  }
+  buffer_.DropRegionTail(region, old_bytes, new_bytes);
+}
+
+void UnifiedMemory::InvalidateRegion(RegionId region) {
+  if (observer_ != nullptr) observer_->OnRegionInvalidated(region);
+  buffer_.DropRegion(region);
+}
+
+AccessCharge UnifiedMemory::Access(RegionId region, std::size_t offset,
+                                   std::size_t bytes) {
+  AccessCharge charge = buffer_.Access(region, offset, bytes);
+  if (observer_ != nullptr && bytes > 0) {
     observer_->OnUnifiedAccess(region, offset, bytes, charge.cycles);
   }
   return charge;

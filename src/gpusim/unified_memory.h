@@ -35,6 +35,93 @@ struct AccessCharge {
   double fault_cycles = 0;
 };
 
+/// Charge of one zero-copy access of `bytes` (128 B transactions over the
+/// link; the first pays full link latency, the rest pipeline), counted
+/// into `stats`; `bytes` must be positive. The one zero-copy cost
+/// formula: `WarpCtx::ZeroCopyRead` and the adaptivity audit's shadows
+/// both charge through it. Inline: it sits on every zero-copy read.
+inline AccessCharge ZeroCopyCharge(const SimParams& params, std::size_t bytes,
+                                   DeviceStats* stats) {
+  const std::size_t ntx = (bytes + params.zc_transaction_bytes - 1) /
+                          params.zc_transaction_bytes;
+  stats->zc_transactions += ntx;
+  stats->zc_bytes += ntx * params.zc_transaction_bytes;
+  AccessCharge charge;
+  charge.cycles = params.pcie_latency_cycles +
+                  static_cast<double>(ntx - 1) * params.zc_pipelined_cycles;
+  charge.pcie_bytes = ntx * params.zc_transaction_bytes;
+  return charge;
+}
+
+/// The device-side buffer of migrated unified-memory pages: an LRU over
+/// resident pages plus the fault/hit/evict cost arithmetic, counting into
+/// a DeviceStats.
+///
+/// `UnifiedMemory` owns the device's instance; the adaptivity audit owns
+/// two more, one per counterfactual placement, counting into their own
+/// totals. Page-level timeline instants are emitted only when a log is
+/// bound (`BindTrace`), so shadow instances never touch the timeline.
+class PageBuffer {
+ public:
+  /// `params` and `stats` must outlive the buffer.
+  PageBuffer(const SimParams& params, std::size_t capacity_pages,
+             DeviceStats* stats)
+      : params_(params), stats_(stats), capacity_pages_(capacity_pages) {}
+
+  PageBuffer(const PageBuffer&) = delete;
+  PageBuffer& operator=(const PageBuffer&) = delete;
+
+  /// Routes page-level fault/hit/eviction/prefetch events to `log` as
+  /// instants, timestamped by `*now_cycles`. Both pointers must outlive
+  /// this object.
+  void BindTrace(prof::CommandLog* log, const double* now_cycles) {
+    trace_ = log;
+    now_cycles_ = now_cycles;
+  }
+
+  /// Charges a device-side access of `[offset, offset + bytes)` within
+  /// `region`: a device-memory access per resident page, a fault plus a
+  /// whole-page migration per missing one.
+  AccessCharge Access(uint32_t region, std::size_t offset, std::size_t bytes);
+
+  /// Migrates the page holding `offset` without a fault penalty; returns
+  /// the bytes migrated (0 when the page was already resident).
+  std::size_t Prefetch(uint32_t region, std::size_t offset);
+
+  /// Drops the buffered pages past `new_bytes` when a region shrank from
+  /// `old_bytes`.
+  void DropRegionTail(uint32_t region, std::size_t old_bytes,
+                      std::size_t new_bytes);
+
+  /// Drops every buffered page of `region`.
+  void DropRegion(uint32_t region);
+
+  bool IsResident(uint32_t region, std::size_t offset) const {
+    return resident_.count(PageKey(region, offset / params_.um_page_bytes)) >
+           0;
+  }
+  std::size_t resident_pages() const { return lru_.size(); }
+  std::size_t capacity_pages() const { return capacity_pages_; }
+
+ private:
+  // Region id in the top 16 bits, page number in the low 48.
+  static uint64_t PageKey(uint32_t region, uint64_t page) {
+    return (static_cast<uint64_t>(region) << 48) | page;
+  }
+
+  void InsertPage(uint64_t key);
+
+  const SimParams& params_;
+  DeviceStats* stats_;
+  std::size_t capacity_pages_;
+  prof::CommandLog* trace_ = nullptr;
+  const double* now_cycles_ = nullptr;
+
+  // LRU over resident pages: front = most recent.
+  std::list<uint64_t> lru_;
+  std::unordered_map<uint64_t, std::list<uint64_t>::iterator> resident_;
+};
+
 /// Simulated CUDA unified (managed) memory.
 ///
 /// Host-resident regions are addressable from device code; the first access
@@ -49,21 +136,16 @@ class UnifiedMemory {
   using RegionId = uint32_t;
 
   UnifiedMemory(const SimParams& params, DeviceStats* stats)
-      : params_(params),
-        stats_(stats),
-        capacity_pages_(params.um_device_buffer_bytes / params.um_page_bytes) {
-  }
+      : buffer_(params, params.um_device_buffer_bytes / params.um_page_bytes,
+                stats) {}
 
   UnifiedMemory(const UnifiedMemory&) = delete;
   UnifiedMemory& operator=(const UnifiedMemory&) = delete;
 
-  /// Routes page-level fault/hit/eviction/prefetch events to `log` as
-  /// instants, timestamped by `*now_cycles` (the owning device's clock).
-  /// Both pointers must outlive this object; the Device wires this up at
-  /// construction when the timeline is armed.
+  /// Routes the page buffer's events to `log` (see PageBuffer::BindTrace);
+  /// the Device wires this up at construction when the timeline is armed.
   void BindTrace(prof::CommandLog* log, const double* now_cycles) {
-    trace_ = log;
-    now_cycles_ = now_cycles;
+    buffer_.BindTrace(log, now_cycles);
   }
 
   /// Attaches a read-only tap on the access stream (see AccessObserver);
@@ -99,43 +181,27 @@ class UnifiedMemory {
   /// (cudaMemPrefetchAsync-style: bulk migration, no per-page fault
   /// penalty). Returns the bytes that actually had to migrate (0 when the
   /// page was already resident). The caller charges the link transfer.
-  std::size_t PrefetchPage(RegionId region, std::size_t offset);
+  std::size_t PrefetchPage(RegionId region, std::size_t offset) {
+    return buffer_.Prefetch(region, offset);
+  }
 
   /// Drops every buffered page of `region` (e.g., data rewritten by host).
   void InvalidateRegion(RegionId region);
 
   /// True when the page holding `offset` is resident in the device buffer.
-  bool IsResident(RegionId region, std::size_t offset) const;
-
-  std::size_t resident_pages() const { return lru_.size(); }
-  std::size_t capacity_pages() const { return capacity_pages_; }
-
-  /// Overrides the buffer capacity (used when device memory pressure forces
-  /// a smaller page buffer than the default).
-  void set_capacity_pages(std::size_t pages) { capacity_pages_ = pages; }
-
- private:
-  // Region id in the top 16 bits, page number in the low 48.
-  static uint64_t PageKey(RegionId region, uint64_t page) {
-    return (static_cast<uint64_t>(region) << 48) | page;
+  bool IsResident(RegionId region, std::size_t offset) const {
+    return buffer_.IsResident(region, offset);
   }
 
-  void Touch(uint64_t key);
-  void InsertPage(uint64_t key);
+  std::size_t resident_pages() const { return buffer_.resident_pages(); }
+  std::size_t capacity_pages() const { return buffer_.capacity_pages(); }
 
-  const SimParams& params_;
-  DeviceStats* stats_;
+ private:
+  PageBuffer buffer_;
   AccessObserver* observer_ = nullptr;
   Sanitizer* sanitizer_ = nullptr;
-  prof::CommandLog* trace_ = nullptr;
-  const double* now_cycles_ = nullptr;
-  std::size_t capacity_pages_;
   RegionId next_region_ = 1;
   std::unordered_map<RegionId, std::size_t> region_bytes_;
-
-  // LRU over resident pages: front = most recent.
-  std::list<uint64_t> lru_;
-  std::unordered_map<uint64_t, std::list<uint64_t>::iterator> resident_;
 };
 
 }  // namespace gpm::gpusim

@@ -129,19 +129,13 @@ void WarpCtx::ZeroCopyRead(std::size_t bytes) {
     log_->ops.push_back({WarpOp::kZeroCopyRead, 0, 0, bytes, 0});
     return;
   }
-  const SimParams& p = device_->params();
-  std::size_t ntx =
-      (bytes + p.zc_transaction_bytes - 1) / p.zc_transaction_bytes;
-  device_->stats().zc_transactions += ntx;
-  device_->stats().zc_bytes += ntx * p.zc_transaction_bytes;
-  // First transaction pays full link latency; the rest pipeline.
-  const double charge = p.pcie_latency_cycles +
-                        static_cast<double>(ntx - 1) * p.zc_pipelined_cycles;
-  cycles_ += charge;
-  AddClassCycles(ResourceClass::kPcie, charge);
-  AddPcieBytes(ntx * p.zc_transaction_bytes);
+  const AccessCharge charge =
+      ZeroCopyCharge(device_->params(), bytes, &device_->stats());
+  cycles_ += charge.cycles;
+  AddClassCycles(ResourceClass::kPcie, charge.cycles);
+  AddPcieBytes(charge.pcie_bytes);
   if (AccessObserver* obs = device_->access_observer()) {
-    obs->OnZeroCopy(bytes, charge);
+    obs->OnZeroCopy(bytes, charge.cycles);
   }
 }
 

@@ -81,10 +81,11 @@ RunOutcome RunKClique(const graph::Graph& g, GraphPlacement placement,
 //
 // Functional execution is placement-independent: the hybrid run and the
 // pure runs issue the identical logical access stream. The audit replays
-// that stream through shadow models that mirror the real cost arithmetic,
-// so the hybrid's counterfactual totals must equal the pure runs' actual
-// counters EXACTLY — not approximately. (The comparison is on access-
-// charge sums, the only cost component that depends on placement.)
+// that stream through shadow instances of the real page buffer and
+// zero-copy charge, so the hybrid's counterfactual totals must equal the
+// pure runs' actual counters EXACTLY — not approximately. (The
+// comparison is on access-charge sums, the only cost component that
+// depends on placement.)
 
 TEST(AdaptivityAuditTest, ShadowUnifiedMatchesPureUnifiedGroundTruth) {
   graph::Graph g = TestGraph();
@@ -236,51 +237,6 @@ TEST(AdaptivityAuditTest, PureRunsCarryRecordsWithoutPlans) {
     EXPECT_DOUBLE_EQ(rec.plan_cycles, 0.0);
     EXPECT_GT(rec.frontier_vertices, 0u);
   }
-}
-
-// --- ShadowPageLru unit behaviour ------------------------------------------
-
-TEST(ShadowPageLruTest, ZeroCapacityNeverCaches) {
-  gpusim::SimParams p = TestParams();
-  ShadowPageLru shadow(p, 0);
-  shadow.Access(0, 0, p.um_page_bytes);
-  shadow.Access(0, 0, p.um_page_bytes);
-  EXPECT_EQ(shadow.counters().um_page_faults, 2u);
-  EXPECT_EQ(shadow.counters().um_page_hits, 0u);
-  EXPECT_EQ(shadow.resident_pages(), 0u);
-}
-
-TEST(ShadowPageLruTest, LruEvictionCountsAndOrder) {
-  gpusim::SimParams p = TestParams();
-  ShadowPageLru shadow(p, 2);
-  shadow.Access(0, 0 * p.um_page_bytes, 8);  // page 0
-  shadow.Access(0, 1 * p.um_page_bytes, 8);  // page 1
-  shadow.Access(0, 0 * p.um_page_bytes, 8);  // hit, page 0 now MRU
-  shadow.Access(0, 2 * p.um_page_bytes, 8);  // evicts page 1 (LRU)
-  shadow.Access(0, 0 * p.um_page_bytes, 8);  // still resident: hit
-  shadow.Access(0, 1 * p.um_page_bytes, 8);  // fault again
-  EXPECT_EQ(shadow.counters().um_page_faults, 4u);
-  EXPECT_EQ(shadow.counters().um_page_hits, 2u);
-  EXPECT_EQ(shadow.counters().um_evictions, 2u);
-  EXPECT_EQ(shadow.counters().um_migrated_bytes, 4 * p.um_page_bytes);
-  EXPECT_EQ(shadow.resident_pages(), 2u);
-}
-
-TEST(ShadowPageLruTest, RegionDropsInvalidateResidency) {
-  gpusim::SimParams p = TestParams();
-  ShadowPageLru shadow(p, 8);
-  shadow.Access(0, 0, 3 * p.um_page_bytes);  // pages 0..2 of region 0
-  shadow.Access(1, 0, 2 * p.um_page_bytes);  // pages 0..1 of region 1
-  EXPECT_EQ(shadow.resident_pages(), 5u);
-  // Shrink region 0 to one page: pages 1..2 drop without eviction cost.
-  shadow.DropRegionTail(0, 3 * p.um_page_bytes, p.um_page_bytes);
-  EXPECT_EQ(shadow.resident_pages(), 3u);
-  shadow.DropRegion(1);
-  EXPECT_EQ(shadow.resident_pages(), 1u);
-  // Re-access of a dropped page faults again.
-  uint64_t faults = shadow.counters().um_page_faults;
-  shadow.Access(0, 2 * p.um_page_bytes, 8);
-  EXPECT_EQ(shadow.counters().um_page_faults, faults + 1);
 }
 
 // --- JSON export -----------------------------------------------------------

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "algos/kclique.h"
 #include "common/random.h"
@@ -195,6 +196,33 @@ TEST(CritpathAnalyzeTest, HandBuiltSerialChainIsExact) {
   EXPECT_EQ(report.whatifs.front().cost_factor, 1.0);
   EXPECT_EQ(report.whatifs.front().projected_cycles,
             report.critical_path_cycles);
+}
+
+// Spans carry no phase of their own: Analyze names each one after the
+// innermost marker pair open around it.
+TEST(CritpathAnalyzeTest, SpanPhaseIsInnermostEnclosingMarker) {
+  CommandLog log;
+  log.set_enabled(true);
+  log.Append(HostWork(0, 1));  // outside every marker
+  CommandRecord seg_begin = Marker(Kind::kPhaseBegin, "planprof/0/L1", 1);
+  seg_begin.segment = true;
+  log.Append(seg_begin);
+  log.Append(HostWork(1, 2));  // inside the segment only
+  log.Append(Marker(Kind::kPhaseBegin, "extension", 3));
+  log.Append(HostWork(3, 4));  // inside the phase nested in the segment
+  log.Append(Marker(Kind::kPhaseEnd, "extension", 7));
+  CommandRecord seg_end = Marker(Kind::kPhaseEnd, "planprof/0/L1", 7);
+  seg_end.segment = true;
+  log.Append(seg_end);
+  log.Append(HostWork(7, 1));  // outside again
+  auto analyzed = Analyze(log, {});
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  const std::vector<SpanInfo>& spans = analyzed.value().spans;
+  ASSERT_EQ(spans.size(), 4u);
+  EXPECT_EQ(spans[0].phase, "");
+  EXPECT_EQ(spans[1].phase, "planprof/0/L1");
+  EXPECT_EQ(spans[2].phase, "extension");
+  EXPECT_EQ(spans[3].phase, "");
 }
 
 TEST(CritpathAnalyzeTest, PartialLogSuppressesWhatIfs) {

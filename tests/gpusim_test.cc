@@ -170,6 +170,55 @@ TEST(UnifiedMemoryTest, ShrinkInvalidatesStalePages) {
   EXPECT_FALSE(um.IsResident(region, 7 * p.um_page_bytes));
 }
 
+// The page buffer on its own, as the adaptivity audit's shadows use it:
+// a capacity and a DeviceStats to count into, no regions or observer.
+
+TEST(PageBufferTest, ZeroCapacityNeverCaches) {
+  SimParams p = SmallParams();
+  DeviceStats stats;
+  PageBuffer buffer(p, 0, &stats);
+  buffer.Access(0, 0, p.um_page_bytes);
+  buffer.Access(0, 0, p.um_page_bytes);
+  EXPECT_EQ(stats.um_page_faults, 2u);
+  EXPECT_EQ(stats.um_page_hits, 0u);
+  EXPECT_EQ(buffer.resident_pages(), 0u);
+}
+
+TEST(PageBufferTest, LruEvictionCountsAndOrder) {
+  SimParams p = SmallParams();
+  DeviceStats stats;
+  PageBuffer buffer(p, 2, &stats);
+  buffer.Access(0, 0 * p.um_page_bytes, 8);  // page 0
+  buffer.Access(0, 1 * p.um_page_bytes, 8);  // page 1
+  buffer.Access(0, 0 * p.um_page_bytes, 8);  // hit, page 0 now MRU
+  buffer.Access(0, 2 * p.um_page_bytes, 8);  // evicts page 1 (LRU)
+  buffer.Access(0, 0 * p.um_page_bytes, 8);  // still resident: hit
+  buffer.Access(0, 1 * p.um_page_bytes, 8);  // fault again
+  EXPECT_EQ(stats.um_page_faults, 4u);
+  EXPECT_EQ(stats.um_page_hits, 2u);
+  EXPECT_EQ(stats.um_evictions, 2u);
+  EXPECT_EQ(stats.um_migrated_bytes, 4 * p.um_page_bytes);
+  EXPECT_EQ(buffer.resident_pages(), 2u);
+}
+
+TEST(PageBufferTest, RegionDropsInvalidateResidency) {
+  SimParams p = SmallParams();
+  DeviceStats stats;
+  PageBuffer buffer(p, 8, &stats);
+  buffer.Access(0, 0, 3 * p.um_page_bytes);  // pages 0..2 of region 0
+  buffer.Access(1, 0, 2 * p.um_page_bytes);  // pages 0..1 of region 1
+  EXPECT_EQ(buffer.resident_pages(), 5u);
+  // Shrink region 0 to one page: pages 1..2 drop without eviction cost.
+  buffer.DropRegionTail(0, 3 * p.um_page_bytes, p.um_page_bytes);
+  EXPECT_EQ(buffer.resident_pages(), 3u);
+  buffer.DropRegion(1);
+  EXPECT_EQ(buffer.resident_pages(), 1u);
+  // Re-access of a dropped page faults again.
+  uint64_t faults = stats.um_page_faults;
+  buffer.Access(0, 2 * p.um_page_bytes, 8);
+  EXPECT_EQ(stats.um_page_faults, faults + 1);
+}
+
 TEST(DeviceTest, UmBufferReservedAtConstruction) {
   Device device(SmallParams());
   EXPECT_EQ(device.memory().used_bytes(), SmallParams().um_device_buffer_bytes);
@@ -398,13 +447,13 @@ TEST(StatsTest, JsonListsEveryCounter) {
 TEST(ProfileTest, PhaseScopeAttributesDeltasByName) {
   Device device(SmallParams());
   for (int i = 0; i < 2; ++i) {
-    PhaseScope scope(&device, &device.profile(), "zc-phase");
+    PhaseScope scope(&device, "zc-phase");
     device.LaunchKernel(1, [](WarpCtx& w, std::size_t) {
       w.ZeroCopyRead(300);  // 3 x 128B transactions
     });
   }
   {
-    PhaseScope scope(&device, &device.profile(), "idle-phase");
+    PhaseScope scope(&device, "idle-phase");
   }
   const PhaseRecord* zc = device.profile().Find("zc-phase");
   ASSERT_NE(zc, nullptr);
@@ -419,22 +468,11 @@ TEST(ProfileTest, PhaseScopeAttributesDeltasByName) {
   EXPECT_EQ(device.profile().Find("never-ran"), nullptr);
 }
 
-TEST(ProfileTest, NullProfileScopeIsNoOp) {
-  Device device(SmallParams());
-  {
-    PhaseScope scope(&device, nullptr, "ignored");
-    device.LaunchKernel(1, [](WarpCtx& w, std::size_t) {
-      w.ChargeCompute(10);
-    });
-  }
-  EXPECT_TRUE(device.profile().phases().empty());
-}
-
 TEST(ProfileTest, ToJsonCarriesTotalsPhasesAndTrace) {
   Device device(SmallParams());
   device.critpath().set_enabled(true);
   {
-    PhaseScope scope(&device, &device.profile(), "alpha");
+    PhaseScope scope(&device, "alpha");
     device.LaunchKernel(2, [](WarpCtx& w, std::size_t) {
       w.ZeroCopyRead(128);
     }, "alpha-kernel");

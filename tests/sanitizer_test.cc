@@ -297,7 +297,7 @@ TEST(SanitizerReportTest, PhaseScopeAttribution) {
   auto id = device.memory().Allocate(64);
   ASSERT_TRUE(id.ok());
   {
-    PhaseScope phase(&device, &device.profile(), "suspicious-phase");
+    PhaseScope phase(&device, "suspicious-phase");
     device.LaunchKernel(
         1,
         [&](WarpCtx& w, std::size_t) { w.DeviceRead(id.value(), 64, 8); },
@@ -312,7 +312,7 @@ TEST(SanitizerReportTest, PhaseScopeAttribution) {
 // a phase opened before the sanitizer was attached still attributes.
 TEST(SanitizerReportTest, EnabledInsideOpenPhaseAttributesToIt) {
   Device device(SmallParams());
-  PhaseScope phase(&device, &device.profile(), "already-open");
+  PhaseScope phase(&device, "already-open");
   Sanitizer* san = EnableAll(device)->sanitizer();
   auto id = device.memory().Allocate(64);
   ASSERT_TRUE(id.ok());
@@ -332,7 +332,7 @@ TEST(SanitizerReportTest, SegmentMarkersAreNotPhases) {
   auto id = device.memory().Allocate(64);
   ASSERT_TRUE(id.ok());
   {
-    PhaseScope phase(&device, &device.profile(), "outer-phase");
+    PhaseScope phase(&device, "outer-phase");
     device.BeginPhaseMark("planprof/0/L1", /*segment=*/true);
     device.LaunchKernel(
         1, [&](WarpCtx& w, std::size_t) { w.DeviceRead(id.value(), 64, 8); },

@@ -121,6 +121,8 @@ PLAN_KINDS = ("subgraph-match", "motif-census", "frequent-mining",
 PLAN_START_MODES = ("vertex-parallel", "edge-parallel")
 PLAN_WRITE_STRATEGIES = ("inherit", "naive-two-pass", "prealloc",
                          "dynamic-alloc")
+# Largest FPM edge budget: Pattern::kMaxVertices (src/graph/pattern.h) - 1.
+FPM_MAX_EDGES = 7
 
 # Compact per-run plan descriptor embedded in gamma.bench.v1 documents
 # (see core::PlanSummary). All values are exact, so compare_bench_json.py
@@ -1094,9 +1096,12 @@ def validate_plan(doc):
         else:
             check_typed_keys(errors, fpm,
                              {"max_edges": int, "min_support": int}, "fpm")
+            # The compiler and the verifier's fpm-params obligation accept
+            # 1 <= max_edges <= Pattern::kMaxVertices - 1.
             if isinstance(fpm.get("max_edges"), int) \
-                    and fpm["max_edges"] < 1:
-                fail(errors, "fpm.max_edges < 1")
+                    and not 1 <= fpm["max_edges"] <= FPM_MAX_EDGES:
+                fail(errors, f"fpm.max_edges {fpm['max_edges']} outside "
+                     f"[1, {FPM_MAX_EDGES}]")
     return errors
 
 
