@@ -7,22 +7,20 @@
 
 namespace gpm::graph {
 
-Graph Graph::FromEdges(VertexId num_vertices, const std::vector<Edge>& edges,
-                       const BuildOptions& options) {
+Graph Graph::FromEdges(VertexId num_vertices,
+                       const std::vector<Edge>& edges) {
   // Normalize to directed arcs in both directions.
   std::vector<std::pair<VertexId, VertexId>> arcs;
   arcs.reserve(edges.size() * 2);
   for (const Edge& e : edges) {
     GAMMA_CHECK(e.u < num_vertices && e.v < num_vertices)
         << "edge endpoint out of range: (" << e.u << "," << e.v << ")";
-    if (options.remove_self_loops && e.u == e.v) continue;
+    if (e.u == e.v) continue;
     arcs.emplace_back(e.u, e.v);
     arcs.emplace_back(e.v, e.u);
   }
   std::sort(arcs.begin(), arcs.end());
-  if (options.remove_duplicates) {
-    arcs.erase(std::unique(arcs.begin(), arcs.end()), arcs.end());
-  }
+  arcs.erase(std::unique(arcs.begin(), arcs.end()), arcs.end());
 
   Graph g;
   g.row_ptr_.assign(num_vertices + 1, 0);
@@ -78,16 +76,10 @@ void Graph::EnsureEdgeIndex() {
     incident_[cursor[e.u]++] = id;
     incident_[cursor[e.v]++] = id;
   }
-  // Per-arc edge ids aligned with col_.
-  arc_edge_ids_.resize(col_.size());
-  for (VertexId u = 0; u < num_vertices(); ++u) {
-    for (uint64_t i = row_ptr_[u]; i < row_ptr_[u + 1]; ++i) {
-      VertexId v = col_[i];
-      EdgeId id = FindEdgeId(u, v);
-      GAMMA_CHECK(id != kInvalidEdge) << "arc without edge id";
-      arc_edge_ids_[i] = id;
-    }
-  }
+  // incident_ doubles as the per-arc edge ids (see arc_edge_ids()), which
+  // needs each vertex's incident count to equal its degree.
+  GAMMA_CHECK(incident_ptr_ == row_ptr_)
+      << "incident lists misaligned with CSR rows";
 }
 
 EdgeId Graph::FindEdgeId(VertexId u, VertexId v) const {

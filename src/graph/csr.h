@@ -23,30 +23,23 @@ struct Edge {
 
 /// Labeled graph in Compressed Sparse Row form (§IV).
 ///
-/// Adjacency lists are sorted, which enables binary-search adjacency tests
-/// and merge-based intersection — both primitives GAMMA's extension step
-/// relies on. The graph is stored undirected: each edge appears in both
-/// endpoints' adjacency lists. An optional edge index assigns each
-/// undirected edge a dense EdgeId and provides vertex→incident-edge lists
-/// (needed by edge-extension / e-ET workloads such as FPM).
+/// Adjacency lists are strictly increasing and loop-free (construction
+/// drops self-loops and duplicate edges), which enables binary-search
+/// adjacency tests and merge-based set intersection — both primitives
+/// GAMMA's extension step relies on. The graph is stored undirected: each
+/// edge appears in both endpoints' adjacency lists. An optional edge index
+/// assigns each undirected edge a dense EdgeId and provides
+/// vertex→incident-edge lists (needed by edge-extension / e-ET workloads
+/// such as FPM).
 class Graph {
  public:
-  struct BuildOptions {
-    bool remove_self_loops = true;
-    bool remove_duplicates = true;
-  };
-
   Graph() = default;
 
   /// Builds an undirected CSR from an edge list. Vertices are
-  /// [0, num_vertices); out-of-range endpoints are CHECK-failed.
+  /// [0, num_vertices); out-of-range endpoints are CHECK-failed. Self-loops
+  /// are dropped and duplicate edges (in either orientation) are merged.
   static Graph FromEdges(VertexId num_vertices,
-                         const std::vector<Edge>& edges,
-                         const BuildOptions& options);
-  static Graph FromEdges(VertexId num_vertices,
-                         const std::vector<Edge>& edges) {
-    return FromEdges(num_vertices, edges, BuildOptions{});
-  }
+                         const std::vector<Edge>& edges);
 
   std::size_t num_vertices() const {
     return row_ptr_.empty() ? 0 : row_ptr_.size() - 1;
@@ -66,7 +59,7 @@ class Graph {
                : static_cast<double>(num_arcs()) / num_vertices();
   }
 
-  /// Sorted neighbor list of `v`.
+  /// Strictly increasing neighbor list of `v` (never contains `v`).
   std::span<const VertexId> neighbors(VertexId v) const {
     return {col_.data() + row_ptr_[v],
             col_.data() + row_ptr_[v + 1]};
@@ -113,13 +106,17 @@ class Graph {
   /// For each arc position in `col()`, the undirected EdgeId of that arc —
   /// i.e. arc_edge_ids()[i] is the edge {u, col()[i]} where i lies in u's
   /// row. Lets edge extension read candidate edge ids coalesced with the
-  /// adjacency list.
-  const std::vector<EdgeId>& arc_edge_ids() const { return arc_edge_ids_; }
+  /// adjacency list. Row u lists its w < u (edges (w, u), ids ascending in
+  /// w) before its w > u (edges (u, w), ids ascending in w and above the
+  /// former), which is exactly the order of u's incident-edge ids; the two
+  /// arrays are one.
+  const std::vector<EdgeId>& arc_edge_ids() const { return incident_; }
 
-  /// Edge ids aligned with neighbors(v).
+  /// Edge ids aligned with neighbors(v); the same list as incident_edges(v)
+  /// (EnsureEdgeIndex CHECKs that incident_ptr_ equals row_ptr_).
   std::span<const EdgeId> neighbor_edge_ids(VertexId v) const {
-    return {arc_edge_ids_.data() + row_ptr_[v],
-            arc_edge_ids_.data() + row_ptr_[v + 1]};
+    return {incident_.data() + row_ptr_[v],
+            incident_.data() + row_ptr_[v + 1]};
   }
 
   /// Id of undirected edge {u, v}, or kInvalidEdge when absent.
@@ -143,7 +140,6 @@ class Graph {
   std::vector<Edge> edge_list_;
   std::vector<uint64_t> incident_ptr_;
   std::vector<EdgeId> incident_;
-  std::vector<EdgeId> arc_edge_ids_;
 };
 
 }  // namespace gpm::graph

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "graph/canonical.h"
 #include "graph/csr.h"
+#include "graph/datasets.h"
 #include "graph/isomorphism.h"
 #include "graph/pattern.h"
 
@@ -32,7 +37,9 @@ TEST(CsrTest, NeighborsSortedAndSymmetric) {
   Graph g = ToyGraph();
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     auto nbrs = g.neighbors(v);
-    EXPECT_TRUE(std::is_sorted(nbrs.begin(), nbrs.end()));
+    EXPECT_EQ(std::adjacent_find(nbrs.begin(), nbrs.end(),
+                                 std::greater_equal<>()),
+              nbrs.end());
     for (VertexId u : nbrs) {
       EXPECT_TRUE(g.HasEdge(u, v));
       EXPECT_TRUE(g.HasEdge(v, u));
@@ -79,17 +86,28 @@ TEST(CsrTest, IncidentEdgesCoverDegree) {
   }
 }
 
+// Per-arc edge ids on the toy graph and the dataset proxies: v's ids are
+// its incident-edge list, and the id at arc i names the edge {v, col[i]}.
 TEST(CsrTest, ArcEdgeIdsAligned) {
-  Graph g = ToyGraph();
-  g.EnsureEdgeIndex();
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    auto nbrs = g.neighbors(v);
-    auto eids = g.neighbor_edge_ids(v);
-    ASSERT_EQ(nbrs.size(), eids.size());
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const Edge& ed = g.edge_list()[eids[i]];
-      EXPECT_TRUE((ed.u == v && ed.v == nbrs[i]) ||
-                  (ed.v == v && ed.u == nbrs[i]));
+  std::vector<std::pair<std::string, Graph>> graphs;
+  graphs.emplace_back("toy", ToyGraph());
+  for (const char* name : {"ER", "CL", "CP"}) {
+    graphs.emplace_back(name, MakeDataset(name));
+  }
+  for (auto& [name, g] : graphs) {
+    SCOPED_TRACE(name);
+    g.EnsureEdgeIndex();
+    ASSERT_EQ(g.arc_edge_ids().size(), g.num_arcs());
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      auto nbrs = g.neighbors(v);
+      auto eids = g.neighbor_edge_ids(v);
+      ASSERT_EQ(nbrs.size(), eids.size());
+      ASSERT_TRUE(std::ranges::equal(eids, g.incident_edges(v)));
+      for (std::size_t i = 0; i < nbrs.size(); ++i) {
+        Edge expected{std::min(v, nbrs[i]), std::max(v, nbrs[i])};
+        ASSERT_EQ(g.edge_list()[eids[i]], expected)
+            << "v=" << v << " i=" << i;
+      }
     }
   }
 }

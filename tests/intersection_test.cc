@@ -1,5 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <limits>
+#include <numeric>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "core/intersection.h"
 #include "gpusim/device.h"
 
@@ -124,6 +134,156 @@ TEST(IntersectionTest, BinaryContainsProbes) {
     EXPECT_FALSE(BinaryContains(w, list, 501));
     EXPECT_GT(w.cycles(), 0.0);
   });
+}
+
+// ---- Property test against std::set_intersection -------------------------
+
+struct Case {
+  std::string name;
+  std::vector<VertexId> a;
+  std::vector<VertexId> b;
+};
+
+// `n` distinct values from [base, base + universe), ascending.
+std::vector<VertexId> RandomSet(std::mt19937& rng, std::size_t n,
+                                uint64_t base, uint64_t universe) {
+  std::vector<uint64_t> all(universe);
+  std::iota(all.begin(), all.end(), base);
+  std::vector<uint64_t> picked;
+  std::sample(all.begin(), all.end(), std::back_inserter(picked), n, rng);
+  return {picked.begin(), picked.end()};
+}
+
+std::vector<Case> PropertyCases() {
+  std::mt19937 rng(20231);
+  std::vector<Case> cases;
+  // Every pair of lengths 0..67: each block count and each tail length mod
+  // 4 on both sides. Universes just above the longer list keep the lists
+  // dense enough that matches land in every lane and in the tails.
+  for (std::size_t na = 0; na <= 67; ++na) {
+    for (std::size_t nb = 0; nb <= 67; ++nb) {
+      uint64_t universe = std::max(na, nb) + 1 + rng() % 64;
+      cases.push_back({"len " + std::to_string(na) + "x" + std::to_string(nb),
+                       RandomSet(rng, na, 0, universe),
+                       RandomSet(rng, nb, 0, universe)});
+    }
+  }
+  // 1:100 lopsided, both orders; the small list half inside the large.
+  for (std::size_t small : {1u, 3u, 17u, 40u}) {
+    std::vector<VertexId> large = RandomSet(rng, 100 * small, 0,
+                                            300 * small);
+    std::vector<VertexId> picks;
+    std::sample(large.begin(), large.end(), std::back_inserter(picks),
+                small / 2, rng);
+    std::vector<VertexId> others = RandomSet(rng, small - small / 2, 0,
+                                             300 * small);
+    std::vector<VertexId> mixed;
+    std::set_union(picks.begin(), picks.end(), others.begin(), others.end(),
+                   std::back_inserter(mixed));
+    cases.push_back({"lopsided small-first " + std::to_string(small), mixed,
+                     large});
+    cases.push_back({"lopsided large-first " + std::to_string(small), large,
+                     mixed});
+  }
+  // Identical lists (copies, not aliases).
+  for (std::size_t n : {1u, 4u, 5u, 31u, 64u, 1000u}) {
+    std::vector<VertexId> v = RandomSet(rng, n, 0, 3 * n);
+    cases.push_back({"identical " + std::to_string(n), v, v});
+  }
+  // Disjoint: one list entirely below the other, and interleaved evens/odds.
+  cases.push_back({"disjoint ranges", RandomSet(rng, 50, 0, 100),
+                   RandomSet(rng, 70, 100, 200)});
+  cases.push_back({"disjoint ranges reversed", RandomSet(rng, 70, 100, 200),
+                   RandomSet(rng, 50, 0, 100)});
+  {
+    std::vector<VertexId> evens, odds;
+    for (VertexId x = 0; x < 200; ++x) (x % 2 ? odds : evens).push_back(x);
+    cases.push_back({"interleaved evens/odds", evens, odds});
+  }
+  // Interleaved runs: alternating stretches owned by one list, the other,
+  // or both, so block advances alternate sides and skip long runs.
+  {
+    std::vector<VertexId> a, b;
+    VertexId x = 0;
+    for (int run = 0; run < 40; ++run) {
+      int owner = static_cast<int>(rng() % 3);
+      int len = 1 + static_cast<int>(rng() % 11);
+      for (int i = 0; i < len; ++i, ++x) {
+        if (owner != 1) a.push_back(x);
+        if (owner != 0) b.push_back(x);
+      }
+    }
+    cases.push_back({"interleaved runs", a, b});
+  }
+  // Values at the top of the unsigned range, UINT32_MAX included.
+  constexpr uint64_t kMax = std::numeric_limits<VertexId>::max();
+  for (std::size_t n : {5u, 37u, 66u}) {
+    std::vector<VertexId> a = RandomSet(rng, n, kMax - 2 * n + 1, 2 * n);
+    std::vector<VertexId> b = RandomSet(rng, n + 3, kMax - 2 * n + 1, 2 * n);
+    b.back() = static_cast<VertexId>(kMax);
+    a.back() = static_cast<VertexId>(kMax);
+    cases.push_back({"near max " + std::to_string(n), a, b});
+  }
+  return cases;
+}
+
+// Size-only charges: a merge is ceil((|a| + |b|) / warp) steps of one
+// cycle; galloping is ceil(|small| / warp) steps of log2(|large| + 1).
+double SimtCharge(std::size_t elems, double cycles_per_step) {
+  const std::size_t warp = static_cast<std::size_t>(SmallParams().warp_size);
+  return static_cast<double>((elems + warp - 1) / warp) * cycles_per_step;
+}
+double MergeCharge(const Case& c) {
+  return SimtCharge(c.a.size() + c.b.size(), 1.0);
+}
+double GallopCharge(const Case& c) {
+  std::size_t small = std::min(c.a.size(), c.b.size());
+  std::size_t large = std::max(c.a.size(), c.b.size());
+  return SimtCharge(small, large == 0 ? 1.0
+                                      : std::log2(static_cast<double>(large) +
+                                                  1));
+}
+double AdaptiveCharge(const Case& c) {
+  std::size_t small = std::min(c.a.size(), c.b.size());
+  std::size_t large = std::max(c.a.size(), c.b.size());
+  if (small == 0) return 0;
+  return large / small >= kGallopRatio ? GallopCharge(c) : MergeCharge(c);
+}
+
+template <typename Fn, typename Charge>
+void CheckAgainstStd(const char* label, Fn&& fn, Charge&& charge) {
+  std::vector<Case> cases = PropertyCases();
+  std::vector<std::vector<VertexId>> outs(cases.size());
+  std::vector<double> cycles(cases.size());
+  // Every other case reuses a non-empty `out` holding stale values.
+  for (std::size_t i = 1; i < outs.size(); i += 2) {
+    outs[i].assign(1 + i % 90, 0xdeadbeefu);
+  }
+  gpusim::Device device(SmallParams());
+  device.LaunchKernel(cases.size(), [&](gpusim::WarpCtx& w, std::size_t i) {
+    fn(w, cases[i].a, cases[i].b, &outs[i]);
+    cycles[i] = w.cycles();
+  });
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const Case& c = cases[i];
+    std::vector<VertexId> expected;
+    std::set_intersection(c.a.begin(), c.a.end(), c.b.begin(), c.b.end(),
+                          std::back_inserter(expected));
+    EXPECT_EQ(outs[i], expected) << label << ": " << c.name;
+    EXPECT_EQ(cycles[i], charge(c)) << label << ": " << c.name;
+  }
+}
+
+TEST(IntersectionPropertyTest, SortedMatchesStdSetIntersection) {
+  CheckAgainstStd("IntersectSorted", IntersectSorted, MergeCharge);
+}
+
+TEST(IntersectionPropertyTest, GallopingMatchesStdSetIntersection) {
+  CheckAgainstStd("IntersectGalloping", IntersectGalloping, GallopCharge);
+}
+
+TEST(IntersectionPropertyTest, AdaptiveMatchesStdSetIntersection) {
+  CheckAgainstStd("IntersectAdaptive", IntersectAdaptive, AdaptiveCharge);
 }
 
 }  // namespace
