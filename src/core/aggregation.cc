@@ -141,10 +141,23 @@ Result<AggregationResult> Aggregate(const EmbeddingTable& table,
     for (auto& [code, p] : te) exemplars.try_emplace(code, p);
   }
 
-  // Sort the code column (out-of-core capable) and count runs.
-  std::vector<uint64_t> sorted = result.codes;
-  SortOptions sort_options = options.sort;
-  auto sort_stats = SortKeys(device, &sorted, sort_options);
+  // Sort the code column (out-of-core capable) and count runs. The sort
+  // runs over each row's dense rank among the distinct codes instead of the
+  // code itself: every sort charge depends only on the keys' order and
+  // equality (checkpoints, their dedup, matched indices, slice sizes), which
+  // a strictly increasing relabel keeps, so the cycles and SortStats are
+  // those of sorting the codes, while the keys fit in one radix digit.
+  std::vector<uint64_t> distinct;
+  distinct.reserve(exemplars.size());
+  for (const auto& [code, p] : exemplars) distinct.push_back(code);
+  std::sort(distinct.begin(), distinct.end());
+  std::vector<uint64_t> sorted(rows);
+  {
+    std::unordered_map<uint64_t, uint64_t> rank;
+    for (std::size_t i = 0; i < distinct.size(); ++i) rank[distinct[i]] = i;
+    for (std::size_t r = 0; r < rows; ++r) sorted[r] = rank[result.codes[r]];
+  }
+  auto sort_stats = SortKeys(device, &sorted, options.sort);
   if (!sort_stats.ok()) return sort_stats.status();
   result.sort_stats = sort_stats.value();
 
@@ -160,7 +173,7 @@ Result<AggregationResult> Aggregate(const EmbeddingTable& table,
   for (std::size_t i = 0; i < sorted.size();) {
     std::size_t j = i;
     while (j < sorted.size() && sorted[j] == sorted[i]) ++j;
-    counts[sorted[i]] = j - i;
+    counts[distinct[sorted[i]]] = j - i;  // ranks ascend with the codes
     i = j;
   }
   result.distinct_patterns = counts.size();

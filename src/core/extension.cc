@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <optional>
 #include <unordered_map>
 
 #include "common/logging.h"
@@ -71,6 +72,55 @@ void ChargeTableRead(gpusim::WarpCtx& warp, const EmbeddingTable& table,
     if (first == kNoParent) break;
   }
 }
+
+// Most edges, the candidate included, a canonicality check handles.
+constexpr std::size_t kMaxCanonicalEdges = 2 * graph::Pattern::kMaxVertices;
+
+// Canonicality thresholds of one canonical edge sequence `emb` (the order
+// IsCanonicalEdgeExtension defines). Let a(w) be the index of the first edge
+// of `emb` containing vertex w, and T(w) = max(emb[0], emb[a(w)+1], ...,
+// emb[len-1]). A fresh edge e is a canonical extension iff it touches the
+// embedding and e > T(w) for each of its endpoints w in the embedding: the
+// greedy order of emb + e departs from emb only at step 0 (e < emb[0]) or
+// at a step i > a(w), where e touches the prefix, with e < emb[i]. Vertices
+// are kept in first-seen order, so a(w) ascends and T(w) descends along
+// them: the first endpoint found carries the binding threshold.
+class CanonicalThresholds {
+ public:
+  CanonicalThresholds(const graph::Graph& g, std::span<const Unit> emb) {
+    const std::size_t len = emb.size();
+    // suffix[i] = max(emb[0], emb[i..len)): emb[0] is the sequence's minimum.
+    std::array<Unit, kMaxCanonicalEdges + 1> suffix;
+    suffix[len] = emb[0];
+    for (std::size_t i = len; i-- > 0;) {
+      suffix[i] = std::max(emb[i], suffix[i + 1]);
+    }
+    for (std::size_t i = 0; i < len; ++i) {
+      const graph::Edge& ed = g.edge_list()[emb[i]];
+      for (VertexId w : {ed.u, ed.v}) {
+        if (std::find(verts_.begin(), verts_.begin() + nv_, w) ==
+            verts_.begin() + nv_) {
+          verts_[nv_] = w;
+          thresholds_[nv_++] = suffix[i + 1];
+        }
+      }
+    }
+  }
+
+  // True when the fresh edge `id` with endpoints `ed` extends the sequence
+  // canonically.
+  bool Admits(const graph::Edge& ed, Unit id) const {
+    for (std::size_t j = 0; j < nv_; ++j) {
+      if (verts_[j] == ed.u || verts_[j] == ed.v) return id > thresholds_[j];
+    }
+    return false;  // disconnected
+  }
+
+ private:
+  std::array<VertexId, 2 * kMaxCanonicalEdges> verts_;
+  std::array<Unit, 2 * kMaxCanonicalEdges> thresholds_;
+  std::size_t nv_ = 0;
+};
 
 // One emitted extension result.
 struct Emit {
@@ -601,7 +651,7 @@ bool IsCanonicalEdgeExtension(const graph::Graph& g,
   // the prefix. The extension is canonical iff that sequence equals
   // (edges..., e). Runs per candidate, so everything lives in fixed-size
   // stack arrays.
-  constexpr std::size_t kMaxK = 2 * graph::Pattern::kMaxVertices;
+  constexpr std::size_t kMaxK = kMaxCanonicalEdges;
   const std::size_t k = edges.size() + 1;
   GAMMA_CHECK(k <= kMaxK) << "canonicality check of " << k
                           << " edges; at most " << kMaxK;
@@ -662,6 +712,10 @@ Result<ExtensionStats> EdgeExtend(EmbeddingTable* table,
   const graph::Graph& g = accessor->graph();
   GAMMA_CHECK(!g.edge_list().empty()) << "edge index required";
   const int len = table->length();
+  GAMMA_CHECK(!spec.canonical_only ||
+              static_cast<std::size_t>(len) < kMaxCanonicalEdges)
+      << "canonical extension of " << len << " edges; at most "
+      << kMaxCanonicalEdges - 1;
 
   Flattened flat = Flatten(*table);
 
@@ -700,6 +754,8 @@ Result<ExtensionStats> EdgeExtend(EmbeddingTable* table,
                              std::span<const Unit> emb,
                              const std::vector<graph::EdgeId>& cands,
                              std::vector<Emit>* out) {
+    std::optional<CanonicalThresholds> canonical;
+    if (spec.canonical_only) canonical.emplace(g, emb);
     for (graph::EdgeId cand : cands) {
       bool fresh = true;
       for (Unit u : emb) {
@@ -710,8 +766,10 @@ Result<ExtensionStats> EdgeExtend(EmbeddingTable* table,
       }
       if (!fresh) continue;
       if (spec.canonical_only) {
+        // Charged as a len² device-side check per fresh candidate; one add
+        // per candidate keeps the double-precision sum in order.
         w.ChargeCompute(static_cast<double>(len * len));
-        if (!IsCanonicalEdgeExtension(g, emb, cand)) continue;
+        if (!canonical->Admits(g.edge_list()[cand], cand)) continue;
       }
       if (spec.post_filter) {
         w.ChargeCompute(options.post_filter_cycles);

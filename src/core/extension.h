@@ -104,7 +104,8 @@ struct VertexExtensionSpec {
 /// Candidate specification for edge extension (e-ET).
 struct EdgeExtensionSpec {
   /// Keep only canonical insertion sequences, so every connected edge set
-  /// is produced exactly once (Arabesque-style canonicality).
+  /// is produced exactly once (Arabesque-style canonicality). The input
+  /// rows must be canonical sequences themselves (see EdgeExtend).
   bool canonical_only = true;
   /// Optional extra predicate over (embedding edge ids, candidate edge id).
   std::function<bool(std::span<const Unit>, Unit)> post_filter;
@@ -120,14 +121,24 @@ Result<ExtensionStats> VertexExtend(EmbeddingTable* table,
 
 /// Extends every embedding of the e-ET by one adjacent edge (Ext_e) and
 /// appends the new column. Requires the graph's edge index.
+///
+/// With `canonical_only`, every input row must itself be a canonical
+/// sequence (of fewer than 2 * Pattern::kMaxVertices edges): the test is
+/// then a per-row threshold instead of a rescan of the sequence, and agrees
+/// with IsCanonicalEdgeExtension exactly when the row is canonical. Tables
+/// built only by InitEdgeTable, canonical extensions and Filtering satisfy
+/// this: level 1 is single edges, each level emits only canonical
+/// extensions, and filtering only drops rows.
 Result<ExtensionStats> EdgeExtend(EmbeddingTable* table,
                                   GraphAccessor* accessor,
                                   const EdgeExtensionSpec& spec,
                                   const ExtensionOptions& options);
 
-/// True when appending edge `e` to the (canonical) insertion sequence
-/// `edges` yields the canonical sequence of the extended edge set. Exposed
-/// for tests; EdgeExtend applies it when `canonical_only` is set.
+/// True when appending edge `e` to the insertion sequence `edges` yields the
+/// canonical sequence of the extended edge set (start at the smallest id,
+/// then repeatedly take the smallest id sharing a vertex with the prefix).
+/// The reference for EdgeExtend's `canonical_only` rule, used by the CPU
+/// oracle and the tests; it rescans the whole sequence on every call.
 bool IsCanonicalEdgeExtension(const graph::Graph& g,
                               std::span<const Unit> edges, Unit e);
 

@@ -1,7 +1,9 @@
 #include "core/multimerge_sort.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <span>
 
 #include "common/logging.h"
 #include "gpusim/sanitizer.h"
@@ -15,6 +17,52 @@ constexpr double kCpuCyclesPerStep = 12.0;
 
 double Log2Of(std::size_t n) {
   return std::log2(static_cast<double>(n) + 2.0);
+}
+
+// LSD radix sort of `in` into `out` with 11-bit digits. A digit all keys
+// share costs no pass: one read pass finds the digits that vary, a second
+// counts their histograms, and each of them takes one scatter pass, so keys
+// below 2^11 sort in a single scatter. The passes ping-pong between `out`
+// and `in`, which is left clobbered.
+void RadixSort(std::span<uint64_t> in, std::vector<uint64_t>* out) {
+  constexpr int kDigitBits = 11;
+  constexpr int kDigits = (64 + kDigitBits - 1) / kDigitBits;
+  constexpr std::size_t kRadix = std::size_t{1} << kDigitBits;
+  const std::size_t n = in.size();
+  out->resize(n);
+  if (n == 0) return;
+  GAMMA_CHECK(n <= UINT32_MAX) << "radix sort of " << n << " keys";
+  uint64_t varying = 0;
+  for (uint64_t k : in) varying |= k ^ in[0];
+  std::array<int, kDigits> shifts;
+  int passes = 0;
+  for (int d = 0; d < kDigits; ++d) {
+    if ((varying >> (d * kDigitBits)) & (kRadix - 1)) {
+      shifts[passes++] = d * kDigitBits;
+    }
+  }
+  std::vector<uint32_t> hist(passes * kRadix, 0);
+  for (uint64_t k : in) {
+    for (int p = 0; p < passes; ++p) {
+      ++hist[p * kRadix + ((k >> shifts[p]) & (kRadix - 1))];
+    }
+  }
+  std::span<uint64_t> src = in;
+  std::span<uint64_t> dst(*out);
+  for (int p = 0; p < passes; ++p) {
+    uint32_t* offset = hist.data() + p * kRadix;
+    uint32_t sum = 0;
+    for (std::size_t b = 0; b < kRadix; ++b) {
+      const uint32_t count = offset[b];
+      offset[b] = sum;
+      sum += count;
+    }
+    for (uint64_t k : src) dst[offset[(k >> shifts[p]) & (kRadix - 1)]++] = k;
+    std::swap(src, dst);
+  }
+  if (src.data() != out->data()) {
+    std::copy(src.begin(), src.end(), out->begin());
+  }
 }
 
 // In-core sort of one segment: H2D, bitonic-style kernel, D2H, all ordered
@@ -196,6 +244,12 @@ std::size_t MatchedIndex(const std::vector<uint64_t>& s, uint64_t x) {
 Result<SortStats> SortKeys(gpusim::Device* device,
                            std::vector<uint64_t>* keys,
                            const SortOptions& options) {
+  const bool multi_merge = options.method == SortMethod::kGammaMultiMerge ||
+                           options.method == SortMethod::kNaiveMerge;
+  if (multi_merge && options.p_size == 0) {
+    return Status::InvalidArgument(
+        "multi-merge checkpoint spacing (p_size) must be positive");
+  }
   SortStats stats;
   stats.keys = keys->size();
   const std::size_t n = keys->size();
@@ -292,12 +346,14 @@ Result<SortStats> SortKeys(gpusim::Device* device,
   const bool overlap_segments = sort_streams >= 2 && n > seg_elems;
   const double segment_phase_start =
       overlap_segments ? device->Synchronize() : 0.0;
+  // Each segment sorts out of its range of `keys`, which serves as the
+  // radix scratch: the merge (or the single segment) overwrites all of it.
   std::vector<std::vector<uint64_t>> segments;
   std::size_t seg_idx = 0;
   for (std::size_t lo = 0; lo < n; lo += seg_elems) {
     std::size_t hi = std::min(n, lo + seg_elems);
-    segments.emplace_back(keys->begin() + lo, keys->begin() + hi);
-    std::sort(segments.back().begin(), segments.back().end());
+    segments.emplace_back();
+    RadixSort({keys->data() + lo, hi - lo}, &segments.back());
     if (overlap_segments) {
       gpusim::StreamId stream =
           device->WorkerStream(static_cast<int>(seg_idx % sort_streams));

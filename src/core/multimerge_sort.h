@@ -34,6 +34,7 @@ struct SortOptions {
   std::size_t segment_bytes = 0;
   /// Checkpoint spacing within a segment (elements). Bounds every merge
   /// subtask to at most p_size elements per list (Definition 5.1 ff).
+  /// Must be positive for the multi-merge methods (kInvalidArgument).
   std::size_t p_size = 1 << 14;
   /// In-core frameworks (Pangolin) can only sort what fits on the device:
   /// fail with kDeviceOutOfMemory instead of segmenting.

@@ -310,6 +310,82 @@ TEST(EdgeExtensionTest, PreMergeEquivalentToPlain) {
   EXPECT_EQ(results[0], results[1]);
 }
 
+// Extends a canonical 2-edge table by one canonical edge and checks the
+// emitted (unit, parent) rows, in order, and the counting stats against a
+// reference that filters every row's incident edges with
+// IsCanonicalEdgeExtension.
+TEST(EdgeExtensionTest, CanonicalRowsMatchReference) {
+  Rng rng(43);
+  for (graph::Graph g : {graph::ErdosRenyi(40, 150, &rng),
+                         graph::PowerLaw(80, 300, 0.9, &rng)}) {
+    g.EnsureEdgeIndex();
+    for (bool pre_merge : {false, true}) {
+      gpusim::Device device(TestParams());
+      GammaOptions options;
+      options.extension.pre_merge = pre_merge;
+      GammaEngine engine(&device, &g, options);
+      ASSERT_TRUE(engine.Prepare().ok());
+      auto t = engine.InitEdgeTable();
+      ASSERT_TRUE(t.ok());
+      EmbeddingTable* table = t.value().get();
+      EdgeExtensionSpec spec;
+      spec.canonical_only = true;
+      ASSERT_TRUE(engine.EdgeExtension(table, spec).ok());
+      const std::vector<std::vector<Unit>> rows = table->Materialize();
+      const std::vector<RowIndex> parents =
+          table->last_column().parents.host_data();
+
+      std::vector<std::pair<Unit, RowIndex>> want;
+      std::size_t candidates = 0;
+      for (std::size_t r = 0; r < rows.size(); ++r) {
+        std::set<Unit> incident;
+        for (Unit e : rows[r]) {
+          for (graph::VertexId v : {g.edge_list()[e].u, g.edge_list()[e].v}) {
+            for (graph::EdgeId id : g.neighbor_edge_ids(v)) incident.insert(id);
+          }
+        }
+        candidates += incident.size();
+        for (Unit e : incident) {
+          if (std::find(rows[r].begin(), rows[r].end(), e) != rows[r].end()) {
+            continue;
+          }
+          if (IsCanonicalEdgeExtension(g, rows[r], e)) {
+            want.push_back({e, static_cast<RowIndex>(r)});
+          }
+        }
+      }
+      // Grouped tasks are runs of one parent, split every 64 rows (four
+      // warps' worth of the default 16 rows per warp).
+      std::size_t groups = 0;
+      for (std::size_t lo = 0; lo < parents.size();) {
+        std::size_t hi = lo + 1;
+        while (hi < parents.size() && parents[hi] == parents[lo] &&
+               hi - lo < 64) {
+          ++hi;
+        }
+        ++groups;
+        lo = hi;
+      }
+
+      auto stats = engine.EdgeExtension(table, spec);
+      ASSERT_TRUE(stats.ok());
+      std::vector<std::pair<Unit, RowIndex>> got;
+      const auto& last = table->last_column();
+      for (std::size_t i = 0; i < last.size(); ++i) {
+        got.push_back({last.units.host_data()[i], last.parents.host_data()[i]});
+      }
+      EXPECT_EQ(got, want) << "pre_merge=" << pre_merge;
+      EXPECT_EQ(stats.value().input_rows, rows.size());
+      EXPECT_EQ(stats.value().candidates, candidates);
+      EXPECT_EQ(stats.value().results, want.size());
+      EXPECT_EQ(stats.value().chunks, 1u);
+      EXPECT_EQ(stats.value().groups, pre_merge ? groups : 0u);
+      EXPECT_GT(groups, 0u);
+      EXPECT_LT(groups, rows.size());  // some groups hold several rows
+    }
+  }
+}
+
 TEST(ExtensionTest, ChunkingPreservesResults) {
   Rng rng(41);
   graph::Graph g = graph::ErdosRenyi(100, 500, &rng);

@@ -15,6 +15,7 @@
 #include "baselines/presets.h"
 #include "core/extension.h"
 #include "core/gamma.h"
+#include "graph/datasets.h"
 #include "graph/generators.h"
 #include "graph/isomorphism.h"
 #include "graph/reorder.h"
@@ -248,6 +249,115 @@ TEST(CanonicalityProperty, MatchesVectorReference) {
   EXPECT_GT(canonical, 1000u);
   EXPECT_GT(rejected, 1000u);
 }
+
+// Sorted, deduplicated ids of the edges incident to any vertex of `seq`
+// that `seq` does not already hold: the fresh candidates EdgeExtend sees.
+std::vector<core::Unit> FreshIncidentEdges(const graph::Graph& g,
+                                           const std::vector<core::Unit>& seq) {
+  std::vector<core::Unit> out;
+  for (core::Unit e : seq) {
+    for (graph::VertexId v : {g.edge_list()[e].u, g.edge_list()[e].v}) {
+      for (graph::EdgeId id : g.neighbor_edge_ids(v)) out.push_back(id);
+    }
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  std::erase_if(out, [&seq](core::Unit e) {
+    return std::find(seq.begin(), seq.end(), e) != seq.end();
+  });
+  return out;
+}
+
+// Seeded canonical sequences of `edges` edges: each step appends a random
+// fresh incident edge that IsCanonicalEdgeExtension accepts, restarting
+// from a new first edge at a dead end.
+std::vector<std::vector<core::Unit>> GrowCanonical(const graph::Graph& g,
+                                                   std::size_t edges,
+                                                   std::size_t count,
+                                                   Rng* rng) {
+  std::vector<std::vector<core::Unit>> out;
+  while (out.size() < count) {
+    std::vector<core::Unit> seq{
+        static_cast<core::Unit>(rng->NextBounded(g.edge_list().size()))};
+    while (seq.size() < edges) {
+      std::vector<core::Unit> next;
+      for (core::Unit e : FreshIncidentEdges(g, seq)) {
+        if (core::IsCanonicalEdgeExtension(g, seq, e)) next.push_back(e);
+      }
+      if (next.empty()) break;
+      seq.push_back(next[rng->NextBounded(next.size())]);
+    }
+    if (seq.size() == edges) out.push_back(std::move(seq));
+  }
+  return out;
+}
+
+// EdgeExtend's per-row threshold rule against IsCanonicalEdgeExtension on
+// every fresh incident candidate of seeded canonical rows of 1-7 edges. The
+// rows go into a hand-built table (row r's parent is row r of the column
+// before), so each row is extended on its own.
+class ThresholdCanonicality
+    : public ::testing::TestWithParam<std::tuple<const char*, bool>> {};
+
+TEST_P(ThresholdCanonicality, MatchesReferenceOnEveryCandidate) {
+  const auto [dataset, pre_merge] = GetParam();
+  graph::Graph g = graph::MakeDataset(dataset);
+  g.EnsureEdgeIndex();
+  Rng rng(71);
+  std::size_t accepted = 0, rejected = 0;
+  for (std::size_t len = 1; len <= 7; ++len) {
+    const auto rows = GrowCanonical(g, len, 64, &rng);
+    gpusim::Device device(TestParams());
+    core::GammaOptions options;
+    options.extension.pre_merge = pre_merge;
+    core::GammaEngine engine(&device, &g, options);
+    ASSERT_TRUE(engine.Prepare().ok());
+    core::EmbeddingTable table(&device, core::TableKind::kEdge);
+    std::vector<core::RowIndex> identity(rows.size());
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      identity[r] = static_cast<core::RowIndex>(r);
+    }
+    for (std::size_t j = 0; j < len; ++j) {
+      std::vector<core::Unit> units;
+      for (const auto& row : rows) units.push_back(row[j]);
+      ASSERT_TRUE((j == 0 ? table.InitFirstColumn(std::move(units))
+                          : table.AppendColumn(std::move(units), identity))
+                      .ok());
+    }
+    core::EdgeExtensionSpec spec;
+    spec.canonical_only = true;
+    ASSERT_TRUE(engine.EdgeExtension(&table, spec).ok());
+
+    std::vector<std::pair<core::Unit, core::RowIndex>> want;
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      for (core::Unit e : FreshIncidentEdges(g, rows[r])) {
+        if (core::IsCanonicalEdgeExtension(g, rows[r], e)) {
+          want.push_back({e, static_cast<core::RowIndex>(r)});
+          ++accepted;
+        } else {
+          ++rejected;
+        }
+      }
+    }
+    std::vector<std::pair<core::Unit, core::RowIndex>> got;
+    const auto& last = table.last_column();
+    for (std::size_t i = 0; i < last.size(); ++i) {
+      got.push_back({last.units.host_data()[i], last.parents.host_data()[i]});
+    }
+    ASSERT_EQ(got, want) << dataset << ", " << len << " edges";
+  }
+  // Both answers are exercised.
+  EXPECT_GT(accepted, 1000u);
+  EXPECT_GT(rejected, 1000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Proxies, ThresholdCanonicality,
+    ::testing::Combine(::testing::Values("ER", "CP"), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<const char*, bool>>& info) {
+      return std::string(std::get<0>(info.param)) +
+             (std::get<1>(info.param) ? "_grouped" : "_ungrouped");
+    });
 
 // ---- Invariants -------------------------------------------------------------
 

@@ -167,6 +167,124 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
+// The segment phase's radix sort on shapes where a digit pass could go
+// wrong: empty and tiny inputs, one shared value (no pass at all), keys at
+// the top of the range, keys that differ only in the narrow top digit, and
+// segment sizes that leave a short last segment.
+std::vector<std::pair<std::string, std::vector<uint64_t>>> RadixCases() {
+  std::vector<std::pair<std::string, std::vector<uint64_t>>> cases;
+  cases.push_back({"empty", {}});
+  cases.push_back({"one", {UINT64_MAX}});
+  cases.push_back({"two", {UINT64_MAX, 0}});
+  cases.push_back({"all-equal", std::vector<uint64_t>(3000, 0xabcdefull)});
+  Rng rng(43);
+  {
+    std::vector<uint64_t> keys(3000);
+    for (auto& k : keys) k = UINT64_MAX - rng.NextBounded(5000);
+    cases.push_back({"near-max", std::move(keys)});
+  }
+  {
+    // Bits 55..63 vary, the 55 bits below are one shared pattern.
+    std::vector<uint64_t> keys(3000);
+    for (auto& k : keys) {
+      k = (rng.NextBounded(512) << 55) | 0x12345678abcdeull;
+    }
+    cases.push_back({"top-digit-only", std::move(keys)});
+  }
+  {
+    // Only the top bit of digits 0, 1 and 5 varies.
+    std::vector<uint64_t> keys(3000);
+    for (auto& k : keys) {
+      k = (rng.NextBounded(2) << 10) | (rng.NextBounded(2) << 21) |
+          (rng.NextBounded(2) << 63) | 0x5555ull;
+    }
+    cases.push_back({"digit-top-bits", std::move(keys)});
+  }
+  {
+    // Dense ranks below one digit, as aggregation sorts them.
+    std::vector<uint64_t> keys(5000);
+    for (auto& k : keys) k = rng.NextBounded(300);
+    cases.push_back({"small-ranks", std::move(keys)});
+  }
+  cases.push_back({"random-1", RandomKeys(1, 47)});
+  cases.push_back({"random-2", RandomKeys(2, 53)});
+  cases.push_back({"random-multi-segment", RandomKeys(2 * 512 + 7, 59)});
+  return cases;
+}
+
+TEST_P(MultiMergeTest, RadixSegmentsMatchStdSort) {
+  // 512 keys per 4 KiB segment, and one segment for the whole input.
+  for (std::size_t segment_bytes : {std::size_t{4096}, std::size_t{1} << 20}) {
+    for (auto& [name, input] : RadixCases()) {
+      gpusim::Device device(TinyDevice());
+      std::vector<uint64_t> keys = input;
+      std::vector<uint64_t> expected = input;
+      std::sort(expected.begin(), expected.end());
+      SortOptions options;
+      options.method = GetParam();
+      options.segment_bytes = segment_bytes;
+      options.p_size = 64;
+      auto r = SortKeys(&device, &keys, options);
+      ASSERT_TRUE(r.ok()) << name << ": " << r.status().ToString();
+      EXPECT_EQ(keys, expected) << name << ", segment_bytes " << segment_bytes;
+    }
+  }
+}
+
+TEST_P(MultiMergeTest, ChargesDependOnlyOnKeyOrder) {
+  // Sorting keys or a strictly increasing relabel of them (here their dense
+  // ranks) must charge identically: aggregation sorts ranks in place of
+  // pattern codes and relies on this.
+  Rng rng(61);
+  std::vector<uint64_t> keys(20000);
+  for (auto& k : keys) k = rng.NextBounded(400) * 0x9e3779b97f4a7c15ull;
+  std::vector<uint64_t> distinct = keys;
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                 distinct.end());
+  std::vector<uint64_t> ranks(keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    ranks[i] = std::lower_bound(distinct.begin(), distinct.end(), keys[i]) -
+               distinct.begin();
+  }
+  for (std::size_t streams : {std::size_t{1}, std::size_t{2}}) {
+    SortOptions options;
+    options.method = GetParam();
+    options.segment_bytes = 16 << 10;
+    options.p_size = 256;
+    options.num_streams = streams;
+    gpusim::Device code_device(TinyDevice());
+    auto by_code = SortKeys(&code_device, &keys, options);
+    gpusim::Device rank_device(TinyDevice());
+    auto by_rank = SortKeys(&rank_device, &ranks, options);
+    ASSERT_TRUE(by_code.ok() && by_rank.ok());
+    EXPECT_EQ(by_rank.value().keys, by_code.value().keys);
+    EXPECT_EQ(by_rank.value().segments, by_code.value().segments);
+    EXPECT_GT(by_code.value().segments, 1u);
+    EXPECT_EQ(by_rank.value().subtasks, by_code.value().subtasks);
+    EXPECT_EQ(by_rank.value().cycles, by_code.value().cycles);
+    EXPECT_EQ(rank_device.now_cycles(), code_device.now_cycles());
+    EXPECT_EQ(gpusim::StatsJson(rank_device.stats()),
+              gpusim::StatsJson(code_device.stats()));
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      ASSERT_EQ(distinct[ranks[i]], keys[i]) << "streams " << streams;
+    }
+  }
+}
+
+TEST_P(MultiMergeTest, ZeroCheckpointSpacingRejected) {
+  // Several segments, so the checkpoint collection would run.
+  gpusim::Device device(TinyDevice());
+  auto keys = RandomKeys(2000, 67);
+  SortOptions options;
+  options.method = GetParam();
+  options.segment_bytes = 4096;
+  options.p_size = 0;
+  auto r = SortKeys(&device, &keys, options);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), ErrorCode::kInvalidArgument);
+}
+
 TEST(SortCostTest, OutOfCoreUsesMultipleSegments) {
   gpusim::Device device(TinyDevice());
   auto keys = RandomKeys(100000, 13);  // 800 KB >> device
