@@ -61,6 +61,7 @@ void BM_Fpm(benchmark::State& state, std::string dataset, System sys) {
           bench::SkipCrashed(state, r.status());
           return;
         }
+        bench::ReportProfile(state, device);
         sim_millis = r.value().sim_millis;
         patterns = r.value().count;
         break;

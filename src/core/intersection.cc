@@ -1,7 +1,6 @@
 #include "core/intersection.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 
 #include "common/logging.h"
@@ -38,37 +37,49 @@ VertexId* MergeTail(const VertexId* a, const VertexId* a_end,
   return out;
 }
 
-/// 4x4 block merge: each step compares four elements of `a` against all
-/// four of `b` (the four lane rotations of `b`), writes the matched `a`
-/// lanes in order, and advances whichever block ends lower (both on a tie).
-/// Strict increase makes every match unique to one block pair, so the
-/// output equals the set intersection. Leftover elements go to MergeTail.
-VertexId* BlockMerge(const VertexId* a, const VertexId* a_end,
-                     const VertexId* b, const VertexId* b_end, VertexId* out) {
+/// Skip merge: the loop walks the shorter list `s`. For each `x`, whole
+/// 8-element blocks of the longer list `l` are skipped while their last
+/// element is below `x`; `x` is then tested against the one block that can
+/// hold it and written branchlessly. `s` increases, so `l` only moves
+/// forward. Values past the last full block, and the elements of `l`
+/// after it, go to MergeTail.
+VertexId* SkipMerge(const VertexId* s, const VertexId* s_end,
+                    const VertexId* l, const VertexId* l_end, VertexId* out) {
 #ifdef __SSE2__
-  const VertexId* a_blocks = a + ((a_end - a) & ~std::ptrdiff_t{3});
-  const VertexId* b_blocks = b + ((b_end - b) & ~std::ptrdiff_t{3});
-  while (a != a_blocks && b != b_blocks) {
-    const __m128i va = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a));
-    const __m128i vb = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b));
-    const __m128i rot1 = _mm_shuffle_epi32(vb, _MM_SHUFFLE(0, 3, 2, 1));
-    const __m128i rot2 = _mm_shuffle_epi32(vb, _MM_SHUFFLE(1, 0, 3, 2));
-    const __m128i rot3 = _mm_shuffle_epi32(vb, _MM_SHUFFLE(2, 1, 0, 3));
-    const __m128i hit = _mm_or_si128(
-        _mm_or_si128(_mm_cmpeq_epi32(va, vb), _mm_cmpeq_epi32(va, rot1)),
-        _mm_or_si128(_mm_cmpeq_epi32(va, rot2), _mm_cmpeq_epi32(va, rot3)));
-    for (unsigned mask = static_cast<unsigned>(
-             _mm_movemask_ps(_mm_castsi128_ps(hit)));
-         mask != 0; mask &= mask - 1) {
-      *out++ = a[std::countr_zero(mask)];
+  const VertexId* l_blocks = l + ((l_end - l) & ~std::ptrdiff_t{7});
+  if (l != l_blocks) {
+    const VertexId last = l_blocks[-1];
+    for (; s != s_end && *s <= last; ++s) {
+      const VertexId x = *s;
+      // x <= last keeps the skips inside the full blocks. The first skip
+      // is branchless: most values skip no block or one.
+      l += 8 * (l[7] < x);
+      while (l[7] < x) l += 8;
+      const __m128i vx = _mm_set1_epi32(static_cast<int>(x));
+      const __m128i lo = _mm_loadu_si128(reinterpret_cast<const __m128i*>(l));
+      const __m128i hi =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(l + 4));
+      const __m128i hit =
+          _mm_or_si128(_mm_cmpeq_epi32(vx, lo), _mm_cmpeq_epi32(vx, hi));
+      *out = x;
+      out += _mm_movemask_epi8(hit) != 0;
     }
-    const VertexId a_max = a[3];
-    const VertexId b_max = b[3];
-    a += 4 * (a_max <= b_max);
-    b += 4 * (b_max <= a_max);
+    l = l_blocks;
   }
 #endif
-  return MergeTail(a, a_end, b, b_end, out);
+  return MergeTail(s, s_end, l, l_end, out);
+}
+
+/// out = a ∩ b through SkipMerge, the shorter list driving.
+void SkipIntersect(std::span<const VertexId> a, std::span<const VertexId> b,
+                   std::vector<VertexId>* out) {
+  std::span<const VertexId> small = a.size() <= b.size() ? a : b;
+  std::span<const VertexId> large = a.size() <= b.size() ? b : a;
+  out->resize(small.size());
+  VertexId* end = SkipMerge(small.data(), small.data() + small.size(),
+                            large.data(), large.data() + large.size(),
+                            out->data());
+  out->resize(static_cast<std::size_t>(end - out->data()));
 }
 
 }  // namespace
@@ -79,10 +90,7 @@ void IntersectSorted(gpusim::WarpCtx& warp,
                      std::vector<graph::VertexId>* out) {
   CheckNoAlias(a, b, *out);
   warp.ChargeSimtWork(a.size() + b.size());
-  out->resize(std::min(a.size(), b.size()));
-  VertexId* end = BlockMerge(a.data(), a.data() + a.size(), b.data(),
-                             b.data() + b.size(), out->data());
-  out->resize(static_cast<std::size_t>(end - out->data()));
+  SkipIntersect(a, b, out);
 }
 
 void UnionSorted(gpusim::WarpCtx& warp, std::span<const graph::VertexId> a,
@@ -99,35 +107,12 @@ void IntersectGalloping(gpusim::WarpCtx& warp,
                         std::span<const graph::VertexId> b,
                         std::vector<graph::VertexId>* out) {
   CheckNoAlias(a, b, *out);
-  std::span<const graph::VertexId> small = a.size() <= b.size() ? a : b;
-  std::span<const graph::VertexId> large = a.size() <= b.size() ? b : a;
+  const std::size_t small = std::min(a.size(), b.size());
+  const std::size_t large = std::max(a.size(), b.size());
   double probes =
-      large.empty() ? 1.0 : std::log2(static_cast<double>(large.size()) + 1);
-  warp.ChargeSimtWork(small.size(), probes);
-  out->resize(small.size());
-  VertexId* dst = out->data();
-  // Every element of `large` before `pos` is below the current `x`.
-  const std::size_t n = large.size();
-  std::size_t pos = 0;
-  for (VertexId x : small) {
-    // Gallop from the previous hit until large[hi] >= x, then bisect the
-    // last stride.
-    std::size_t hi = pos;
-    for (std::size_t step = 1; hi < n && large[hi] < x; step <<= 1) {
-      pos = hi + 1;
-      hi = pos + step;
-    }
-    pos = static_cast<std::size_t>(
-        std::lower_bound(large.begin() + pos,
-                         large.begin() + std::min(hi, n), x) -
-        large.begin());
-    if (pos == n) break;
-    if (large[pos] == x) {
-      *dst++ = x;
-      ++pos;
-    }
-  }
-  out->resize(static_cast<std::size_t>(dst - out->data()));
+      large == 0 ? 1.0 : std::log2(static_cast<double>(large) + 1);
+  warp.ChargeSimtWork(small, probes);
+  SkipIntersect(a, b, out);
 }
 
 void IntersectAdaptive(gpusim::WarpCtx& warp,

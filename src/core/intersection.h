@@ -16,14 +16,18 @@ namespace gpm::core {
 ///
 /// Charges depend only on the input sizes, never on the values or on how
 /// the host computes the result, so the host kernels below may use any exact
-/// algorithm without moving simulated time.
+/// algorithm without moving simulated time. Both intersections run the
+/// same host kernel, a skip merge: the shorter list drives, and whole
+/// 8-element blocks of the longer list are skipped while their last element
+/// is below the current value, then the value is tested against the one
+/// block that can hold it (SSE2, with a scalar merge for the tail and as
+/// the whole kernel without SSE2).
 ///
 /// Preconditions of the intersections: both inputs are strictly increasing
 /// (graph adjacency lists and intersections of them are), and `out` aliases
 /// neither input (CHECKed). Any previous contents of `out` are replaced.
 
-/// out = a ∩ b. Charged as a warp merge over |a| + |b| elements. The host
-/// side is a 4x4 SIMD block merge with a scalar tail.
+/// out = a ∩ b. Charged as a warp merge over |a| + |b| elements.
 void IntersectSorted(gpusim::WarpCtx& warp,
                      std::span<const graph::VertexId> a,
                      std::span<const graph::VertexId> b,
@@ -32,8 +36,7 @@ void IntersectSorted(gpusim::WarpCtx& warp,
 /// out = a ∩ b via galloping: every element of the smaller list searches the
 /// larger one. Charged |small| x log2(|large| + 1) — the right primitive
 /// when the lists are very different sizes (hub adjacency vs a short
-/// intersection prefix). The host side gallops forward from the previous
-/// hit.
+/// intersection prefix).
 void IntersectGalloping(gpusim::WarpCtx& warp,
                         std::span<const graph::VertexId> a,
                         std::span<const graph::VertexId> b,

@@ -11,8 +11,6 @@ namespace gpm::gpusim {
 
 namespace {
 
-constexpr uint64_t kPageMask = (uint64_t{1} << 48) - 1;
-
 using Instant = prof::InstantRecord::Kind;
 
 // Emits one page-level timeline instant when a log is bound. The timestamp
@@ -31,6 +29,19 @@ void TracePage(prof::CommandLog* log, const double* now_cycles,
 
 }  // namespace
 
+std::vector<int32_t>& PageBuffer::Table(uint32_t region, uint64_t pages) {
+  if (region >= tables_.size()) tables_.resize(std::size_t{region} + 1);
+  std::vector<int32_t>& table = tables_[region];
+  if (table.size() < pages) table.resize(pages, kNone);
+  return table;
+}
+
+bool PageBuffer::IsResident(uint32_t region, std::size_t offset) const {
+  const uint64_t page = offset / params_.um_page_bytes;
+  return region < tables_.size() && page < tables_[region].size() &&
+         tables_[region][page] != kNone;
+}
+
 AccessCharge PageBuffer::Access(uint32_t region, std::size_t offset,
                                 std::size_t bytes) {
   AccessCharge charge;
@@ -38,14 +49,14 @@ AccessCharge PageBuffer::Access(uint32_t region, std::size_t offset,
   const std::size_t page_bytes = params_.um_page_bytes;
   uint64_t first_page = offset / page_bytes;
   uint64_t last_page = (offset + bytes - 1) / page_bytes;
+  std::vector<int32_t>& table = Table(region, last_page + 1);
   for (uint64_t p = first_page; p <= last_page; ++p) {
-    uint64_t key = PageKey(region, p);
     std::size_t lo = std::max<std::size_t>(offset, p * page_bytes);
     std::size_t hi =
         std::min<std::size_t>(offset + bytes, (p + 1) * page_bytes);
     std::size_t span = hi - lo;
-    auto it = resident_.find(key);
-    if (it != resident_.end()) {
+    const int32_t slot = table[p];
+    if (slot != kNone) {
       // Buffered page: device-memory cost only.
       ++stats_->um_page_hits;
       charge.cycles += params_.device_mem_latency_cycles +
@@ -54,7 +65,7 @@ AccessCharge PageBuffer::Access(uint32_t region, std::size_t offset,
       charge.hit_cycles += params_.device_mem_latency_cycles +
                            static_cast<double>(span) /
                                params_.device_bytes_per_cycle;
-      lru_.splice(lru_.begin(), lru_, it->second);
+      Touch(slot);
       TracePage(trace_, now_cycles_, Instant::kUmHit, region, p);
     } else {
       // Page fault: fault handling plus whole-page migration.
@@ -68,7 +79,7 @@ AccessCharge PageBuffer::Access(uint32_t region, std::size_t offset,
                                  params_.pcie_bytes_per_cycle;
       charge.pcie_bytes += page_bytes;
       TracePage(trace_, now_cycles_, Instant::kUmFault, region, p);
-      InsertPage(key);
+      InsertPage(region, p, table);
     }
   }
   return charge;
@@ -76,13 +87,13 @@ AccessCharge PageBuffer::Access(uint32_t region, std::size_t offset,
 
 std::size_t PageBuffer::Prefetch(uint32_t region, std::size_t offset) {
   uint64_t page = offset / params_.um_page_bytes;
-  uint64_t key = PageKey(region, page);
-  auto it = resident_.find(key);
-  if (it != resident_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);
+  std::vector<int32_t>& table = Table(region, page + 1);
+  const int32_t slot = table[page];
+  if (slot != kNone) {
+    Touch(slot);
     return 0;
   }
-  InsertPage(key);
+  InsertPage(region, page, table);
   stats_->um_migrated_bytes += params_.um_page_bytes;
   TracePage(trace_, now_cycles_, Instant::kUmPrefetch, region, page);
   return params_.um_page_bytes;
@@ -90,42 +101,75 @@ std::size_t PageBuffer::Prefetch(uint32_t region, std::size_t offset) {
 
 void PageBuffer::DropRegionTail(uint32_t region, std::size_t old_bytes,
                                 std::size_t new_bytes) {
-  if (new_bytes >= old_bytes) return;
+  if (new_bytes >= old_bytes || region >= tables_.size()) return;
   const std::size_t page_bytes = params_.um_page_bytes;
+  std::vector<int32_t>& table = tables_[region];
   uint64_t first_stale = (new_bytes + page_bytes - 1) / page_bytes;
-  uint64_t last = old_bytes / page_bytes;
-  for (uint64_t p = first_stale; p <= last; ++p) {
-    auto it = resident_.find(PageKey(region, p));
-    if (it != resident_.end()) {
-      lru_.erase(it->second);
-      resident_.erase(it);
-    }
+  uint64_t end = std::min<uint64_t>(old_bytes / page_bytes + 1, table.size());
+  for (uint64_t p = first_stale; p < end; ++p) {
+    if (table[p] != kNone) Remove(&table[p]);
   }
 }
 
 void PageBuffer::DropRegion(uint32_t region) {
-  for (auto it = resident_.begin(); it != resident_.end();) {
-    if ((it->first >> 48) == region) {
-      lru_.erase(it->second);
-      it = resident_.erase(it);
-    } else {
-      ++it;
-    }
+  if (region >= tables_.size()) return;
+  std::vector<int32_t>& table = tables_[region];
+  for (int32_t& entry : table) {
+    if (entry != kNone) Remove(&entry);
   }
+  std::vector<int32_t>().swap(table);
 }
 
-void PageBuffer::InsertPage(uint64_t key) {
+void PageBuffer::Unlink(int32_t slot) {
+  Slot& s = slots_[slot];
+  (s.prev == kNone ? head_ : slots_[s.prev].next) = s.next;
+  (s.next == kNone ? tail_ : slots_[s.next].prev) = s.prev;
+}
+
+void PageBuffer::PushFront(int32_t slot) {
+  Slot& s = slots_[slot];
+  s.prev = kNone;
+  s.next = head_;
+  (head_ == kNone ? tail_ : slots_[head_].prev) = slot;
+  head_ = slot;
+}
+
+void PageBuffer::Touch(int32_t slot) {
+  if (slot == head_) return;
+  Unlink(slot);
+  PushFront(slot);
+}
+
+void PageBuffer::Remove(int32_t* entry) {
+  Unlink(*entry);
+  free_slots_.push_back(*entry);
+  *entry = kNone;
+  --resident_;
+}
+
+void PageBuffer::InsertPage(uint32_t region, uint64_t page,
+                            std::vector<int32_t>& table) {
   if (capacity_pages_ == 0) return;  // No buffer: behaves like re-faulting.
-  while (lru_.size() >= capacity_pages_) {
-    uint64_t victim = lru_.back();
-    resident_.erase(victim);
-    lru_.pop_back();
+  while (resident_ >= capacity_pages_) {
+    const Slot victim = slots_[tail_];
+    Remove(&tables_[victim.region][victim.page]);
     ++stats_->um_evictions;
-    TracePage(trace_, now_cycles_, Instant::kUmEviction,
-              static_cast<uint32_t>(victim >> 48), victim & kPageMask);
+    TracePage(trace_, now_cycles_, Instant::kUmEviction, victim.region,
+              victim.page);
   }
-  lru_.push_front(key);
-  resident_.emplace(key, lru_.begin());
+  int32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<int32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  slots_[slot].region = region;
+  slots_[slot].page = static_cast<uint32_t>(page);
+  PushFront(slot);
+  table[page] = slot;
+  ++resident_;
 }
 
 UnifiedMemory::RegionId UnifiedMemory::Register(std::size_t bytes) {

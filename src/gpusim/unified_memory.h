@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <unordered_map>
 #include <vector>
 
@@ -61,6 +60,11 @@ inline AccessCharge ZeroCopyCharge(const SimParams& params, std::size_t bytes,
 /// two more, one per counterfactual placement, counting into their own
 /// totals. Page-level timeline instants are emitted only when a log is
 /// bound (`BindTrace`), so shadow instances never touch the timeline.
+///
+/// The buffer is flat: a per-region page -> slot table (grown on first
+/// touch), slots holding each resident page's key and index links of the
+/// LRU list, and a free list of slots. A hit moves its page to the front,
+/// eviction pops the back.
 class PageBuffer {
  public:
   /// `params` and `stats` must outlive the buffer.
@@ -96,20 +100,37 @@ class PageBuffer {
   /// Drops every buffered page of `region`.
   void DropRegion(uint32_t region);
 
-  bool IsResident(uint32_t region, std::size_t offset) const {
-    return resident_.count(PageKey(region, offset / params_.um_page_bytes)) >
-           0;
-  }
-  std::size_t resident_pages() const { return lru_.size(); }
+  bool IsResident(uint32_t region, std::size_t offset) const;
+  std::size_t resident_pages() const { return resident_; }
   std::size_t capacity_pages() const { return capacity_pages_; }
 
  private:
-  // Region id in the top 16 bits, page number in the low 48.
-  static uint64_t PageKey(uint32_t region, uint64_t page) {
-    return (static_cast<uint64_t>(region) << 48) | page;
-  }
+  static constexpr int32_t kNone = -1;
 
-  void InsertPage(uint64_t key);
+  /// One resident page and its LRU neighbours (slot indices, kNone at the
+  /// ends; `prev` is towards the most recent). A page number fits 32 bits:
+  /// its region's table holds one entry per page.
+  struct Slot {
+    uint32_t region = 0;
+    uint32_t page = 0;
+    int32_t prev = kNone;
+    int32_t next = kNone;
+  };
+
+  /// `region`'s page -> slot table, grown to hold `pages` entries.
+  std::vector<int32_t>& Table(uint32_t region, uint64_t pages);
+
+  void Unlink(int32_t slot);
+  void PushFront(int32_t slot);
+  /// Moves a resident page's slot to the front (a hit).
+  void Touch(int32_t slot);
+  /// Unlinks and frees the slot of a resident page; `*entry` is its table
+  /// entry.
+  void Remove(int32_t* entry);
+  /// Makes `(region, page)` resident at the front, evicting from the back
+  /// at capacity; `table` is `region`'s table, already holding `page`.
+  void InsertPage(uint32_t region, uint64_t page,
+                  std::vector<int32_t>& table);
 
   const SimParams& params_;
   DeviceStats* stats_;
@@ -117,9 +138,12 @@ class PageBuffer {
   prof::CommandLog* trace_ = nullptr;
   const double* now_cycles_ = nullptr;
 
-  // LRU over resident pages: front = most recent.
-  std::list<uint64_t> lru_;
-  std::unordered_map<uint64_t, std::list<uint64_t>::iterator> resident_;
+  std::vector<std::vector<int32_t>> tables_;  // [region][page] -> slot
+  std::vector<Slot> slots_;
+  std::vector<int32_t> free_slots_;
+  int32_t head_ = kNone;  // most recent
+  int32_t tail_ = kNone;  // least recent: the next victim
+  std::size_t resident_ = 0;
 };
 
 /// Simulated CUDA unified (managed) memory.

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <list>
+#include <map>
+#include <random>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "gpusim/critpath.h"
 #include "gpusim/device.h"
 #include "gpusim/host_array.h"
 #include "gpusim/profile.h"
@@ -217,6 +223,226 @@ TEST(PageBufferTest, RegionDropsInvalidateResidency) {
   uint64_t faults = stats.um_page_faults;
   buffer.Access(0, 2 * p.um_page_bytes, 8);
   EXPECT_EQ(stats.um_page_faults, faults + 1);
+}
+
+TEST(PageBufferTest, HighRegionIdsDoNotAlias) {
+  SimParams p = SmallParams();
+  DeviceStats stats;
+  PageBuffer buffer(p, 8, &stats);
+  buffer.Access(1, 0, 8);
+  buffer.Access(65537, 0, 8);  // 65537 = 1 + 2^16: a distinct region
+  EXPECT_EQ(stats.um_page_faults, 2u);
+  EXPECT_EQ(stats.um_page_hits, 0u);
+  buffer.DropRegion(65537);
+  EXPECT_FALSE(buffer.IsResident(65537, 0));
+  EXPECT_TRUE(buffer.IsResident(1, 0));
+  EXPECT_EQ(buffer.resident_pages(), 1u);
+}
+
+// The page buffer's documented behaviour on a std::list + std::map LRU
+// (front = most recent), with the same charge arithmetic, for the
+// differential test below.
+class ReferenceLru {
+ public:
+  ReferenceLru(const SimParams& params, std::size_t capacity)
+      : params_(params), capacity_(capacity) {}
+
+  AccessCharge Access(uint32_t region, std::size_t offset,
+                      std::size_t bytes) {
+    AccessCharge charge;
+    if (bytes == 0) return charge;
+    const std::size_t pb = params_.um_page_bytes;
+    for (uint64_t p = offset / pb; p <= (offset + bytes - 1) / pb; ++p) {
+      const std::size_t span = std::min(offset + bytes, (p + 1) * pb) -
+                               std::max<std::size_t>(offset, p * pb);
+      auto it = where_.find({region, p});
+      if (it != where_.end()) {
+        ++stats.um_page_hits;
+        const double c = params_.device_mem_latency_cycles +
+                         static_cast<double>(span) /
+                             params_.device_bytes_per_cycle;
+        charge.cycles += c;
+        charge.hit_cycles += c;
+        lru_.splice(lru_.begin(), lru_, it->second);
+        Emit(prof::InstantRecord::Kind::kUmHit, region, p);
+      } else {
+        ++stats.um_page_faults;
+        stats.um_migrated_bytes += pb;
+        const double c = params_.page_fault_cycles +
+                         static_cast<double>(pb) /
+                             params_.pcie_bytes_per_cycle;
+        charge.cycles += c;
+        charge.fault_cycles += c;
+        charge.pcie_bytes += pb;
+        Emit(prof::InstantRecord::Kind::kUmFault, region, p);
+        Insert({region, p});
+      }
+    }
+    return charge;
+  }
+
+  std::size_t Prefetch(uint32_t region, std::size_t offset) {
+    const uint64_t p = offset / params_.um_page_bytes;
+    auto it = where_.find({region, p});
+    if (it != where_.end()) {
+      lru_.splice(lru_.begin(), lru_, it->second);
+      return 0;
+    }
+    Insert({region, p});
+    stats.um_migrated_bytes += params_.um_page_bytes;
+    Emit(prof::InstantRecord::Kind::kUmPrefetch, region, p);
+    return params_.um_page_bytes;
+  }
+
+  void DropRegionTail(uint32_t region, std::size_t old_bytes,
+                      std::size_t new_bytes) {
+    if (new_bytes >= old_bytes) return;
+    const std::size_t pb = params_.um_page_bytes;
+    for (uint64_t p = (new_bytes + pb - 1) / pb; p <= old_bytes / pb; ++p) {
+      Erase({region, p});
+    }
+  }
+
+  void DropRegion(uint32_t region) {
+    for (auto it = where_.begin(); it != where_.end();) {
+      auto next = std::next(it);
+      if (it->first.first == region) Erase(it->first);
+      it = next;
+    }
+  }
+
+  bool IsResident(uint32_t region, std::size_t offset) const {
+    return where_.count({region, offset / params_.um_page_bytes}) > 0;
+  }
+  std::size_t resident_pages() const { return lru_.size(); }
+
+  DeviceStats stats;
+  std::vector<prof::InstantRecord> instants;
+  double now = 0;
+
+ private:
+  using Key = std::pair<uint32_t, uint64_t>;
+
+  void Emit(prof::InstantRecord::Kind kind, uint32_t region, uint64_t page) {
+    prof::InstantRecord rec;
+    rec.kind = kind;
+    rec.ts = now;
+    rec.region = region;
+    rec.page = page;
+    instants.push_back(rec);
+  }
+
+  void Insert(Key key) {
+    if (capacity_ == 0) return;
+    while (lru_.size() >= capacity_) {
+      const Key victim = lru_.back();
+      Erase(victim);
+      ++stats.um_evictions;
+      Emit(prof::InstantRecord::Kind::kUmEviction, victim.first,
+           victim.second);
+    }
+    lru_.push_front(key);
+    where_.emplace(key, lru_.begin());
+  }
+
+  void Erase(Key key) {
+    auto it = where_.find(key);
+    if (it == where_.end()) return;
+    lru_.erase(it->second);
+    where_.erase(it);
+  }
+
+  const SimParams& params_;
+  std::size_t capacity_;
+  std::list<Key> lru_;
+  std::map<Key, std::list<Key>::iterator> where_;
+};
+
+// A seeded random stream of accesses (some spanning pages), prefetches and
+// region drops, replayed on PageBuffer and on ReferenceLru. After every
+// operation the counters, residency and the timeline instants (which pin
+// the eviction order) must agree exactly.
+TEST(PageBufferTest, MatchesReferenceLru) {
+  const SimParams p = SmallParams();
+  const std::size_t pb = p.um_page_bytes;
+  const uint32_t regions[] = {0, 1, 7};
+  constexpr uint64_t kPages = 24;
+  for (std::size_t capacity : {0u, 1u, 3u, 64u}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    std::mt19937 rng(static_cast<unsigned>(1000 + capacity));
+    DeviceStats stats;
+    PageBuffer buffer(p, capacity, &stats);
+    prof::CommandLog log;
+    log.set_enabled(true);
+    ReferenceLru ref(p, capacity);
+    buffer.BindTrace(&log, &ref.now);
+    std::set<std::pair<uint32_t, uint64_t>> touched;
+    std::size_t checked = 0;  // instants compared so far
+    for (int op = 0; op < 3000; ++op) {
+      ref.now = op;
+      const uint32_t region = regions[rng() % 3];
+      const unsigned kind = rng() % 20;
+      std::string what;
+      if (kind < 14) {
+        const std::size_t offset = rng() % (kPages * pb);
+        // Mostly within a page; every fourth access spans up to 3 pages.
+        const std::size_t bytes =
+            rng() % 4 == 0 ? 1 + rng() % (3 * pb) : 1 + rng() % 256;
+        what = "Access";
+        AccessCharge got = buffer.Access(region, offset, bytes);
+        AccessCharge want = ref.Access(region, offset, bytes);
+        ASSERT_EQ(got.cycles, want.cycles) << "op " << op;
+        ASSERT_EQ(got.hit_cycles, want.hit_cycles) << "op " << op;
+        ASSERT_EQ(got.fault_cycles, want.fault_cycles) << "op " << op;
+        ASSERT_EQ(got.pcie_bytes, want.pcie_bytes) << "op " << op;
+        for (uint64_t q = offset / pb; q <= (offset + bytes - 1) / pb; ++q) {
+          touched.insert({region, q});
+        }
+      } else if (kind < 17) {
+        const std::size_t offset = rng() % (kPages * pb);
+        what = "Prefetch";
+        ASSERT_EQ(buffer.Prefetch(region, offset),
+                  ref.Prefetch(region, offset))
+            << "op " << op;
+        touched.insert({region, offset / pb});
+      } else if (kind < 19) {
+        const std::size_t old_bytes = rng() % (kPages * pb + 1);
+        const std::size_t new_bytes = rng() % (old_bytes + 1);
+        what = "DropRegionTail";
+        buffer.DropRegionTail(region, old_bytes, new_bytes);
+        ref.DropRegionTail(region, old_bytes, new_bytes);
+      } else {
+        what = "DropRegion";
+        buffer.DropRegion(region);
+        ref.DropRegion(region);
+      }
+      SCOPED_TRACE("op " + std::to_string(op) + " " + what);
+      for (const DeviceStats::Field& f : DeviceStats::Fields()) {
+        ASSERT_EQ(stats.*f.member, ref.stats.*f.member) << f.name;
+      }
+      ASSERT_EQ(buffer.resident_pages(), ref.resident_pages());
+      for (const auto& [r, q] : touched) {
+        ASSERT_EQ(buffer.IsResident(r, q * pb), ref.IsResident(r, q * pb))
+            << "region " << r << " page " << q;
+      }
+      ASSERT_EQ(log.instants().size(), ref.instants.size());
+      for (; checked < ref.instants.size(); ++checked) {
+        const prof::InstantRecord& got = log.instants()[checked];
+        const prof::InstantRecord& want = ref.instants[checked];
+        ASSERT_EQ(got.kind, want.kind) << "instant " << checked;
+        ASSERT_EQ(got.ts, want.ts) << "instant " << checked;
+        ASSERT_EQ(got.region, want.region) << "instant " << checked;
+        ASSERT_EQ(got.page, want.page) << "instant " << checked;
+      }
+    }
+    ASSERT_EQ(log.dropped(), 0u);
+    if (capacity > 0) {
+      EXPECT_GT(stats.um_page_hits, 0u);
+    }
+    if (capacity > 0 && capacity < 64) {
+      EXPECT_GT(stats.um_evictions, 0u);
+    }
+  }
 }
 
 TEST(DeviceTest, UmBufferReservedAtConstruction) {

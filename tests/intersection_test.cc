@@ -8,6 +8,7 @@
 #include <numeric>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/intersection.h"
@@ -214,6 +215,71 @@ std::vector<Case> PropertyCases() {
       }
     }
     cases.push_back({"interleaved runs", a, b});
+  }
+  // Skip-merge shapes (the shorter list walks 8-element blocks of the
+  // longer one), each in both argument orders.
+  auto both_orders = [&cases](const std::string& name,
+                              const std::vector<VertexId>& short_list,
+                              const std::vector<VertexId>& long_list) {
+    cases.push_back({name + " short-first", short_list, long_list});
+    cases.push_back({name + " long-first", long_list, short_list});
+  };
+  // `n_hits` values drawn from `long_list` plus `n - n_hits` values of
+  // [0, universe) outside it, ascending.
+  auto mixed = [&rng](const std::vector<VertexId>& long_list, std::size_t n,
+                      std::size_t n_hits, uint64_t universe) {
+    std::vector<VertexId> all(universe), outside, hits, misses, out;
+    std::iota(all.begin(), all.end(), VertexId{0});
+    std::set_difference(all.begin(), all.end(), long_list.begin(),
+                        long_list.end(), std::back_inserter(outside));
+    std::sample(long_list.begin(), long_list.end(), std::back_inserter(hits),
+                n_hits, rng);
+    std::sample(outside.begin(), outside.end(), std::back_inserter(misses),
+                n - n_hits, rng);
+    std::merge(hits.begin(), hits.end(), misses.begin(), misses.end(),
+               std::back_inserter(out));
+    return out;
+  };
+  // Sizes of profiled vertex-extension traffic: short x long, about half
+  // of the short list inside the long one.
+  for (auto [ns, nl] : {std::pair<std::size_t, std::size_t>{90, 300},
+                        {60, 180},
+                        {13, 540},
+                        {1, 943}}) {
+    std::vector<VertexId> long_list = RandomSet(rng, nl, 0, 3 * nl);
+    both_orders("profiled " + std::to_string(ns) + "x" + std::to_string(nl),
+                mixed(long_list, ns, (ns + 1) / 2, 3 * nl), long_list);
+  }
+  // The short list is exactly the long list's block-last elements, the
+  // values a skip test must not skip past.
+  for (std::size_t nl : {64u, 203u}) {
+    std::vector<VertexId> long_list = RandomSet(rng, nl, 0, 2 * nl);
+    std::vector<VertexId> lasts;
+    for (std::size_t i = 7; i < nl; i += 8) lasts.push_back(long_list[i]);
+    both_orders("block lasts " + std::to_string(nl), lasts, long_list);
+  }
+  // The short list lies entirely past the long list's last full block:
+  // hits only in the long list's tail, and none at all when it has none.
+  for (std::size_t nl : {96u, 101u, 103u}) {
+    std::vector<VertexId> long_list = RandomSet(rng, nl, 0, 4 * nl);
+    const std::size_t full = nl & ~std::size_t{7};
+    std::vector<VertexId> past;
+    for (VertexId x = long_list[full - 1] + 1;
+         past.size() < 9 && x < long_list.back() + 20; x += 1 + rng() % 2) {
+      past.push_back(x);
+    }
+    both_orders("past last block " + std::to_string(nl), past, long_list);
+  }
+  // Long-list lengths 1..7 (mod 8), the last element always a hit.
+  for (std::size_t r = 1; r <= 7; ++r) {
+    const std::size_t nl = 48 + r;
+    std::vector<VertexId> long_list = RandomSet(rng, nl, 0, 2 * nl);
+    std::vector<VertexId> short_list = mixed(long_list, 11, 5, 2 * nl);
+    short_list.push_back(long_list.back());
+    std::sort(short_list.begin(), short_list.end());
+    short_list.erase(std::unique(short_list.begin(), short_list.end()),
+                     short_list.end());
+    both_orders("long mod 8 = " + std::to_string(r), short_list, long_list);
   }
   // Values at the top of the unsigned range, UINT32_MAX included.
   constexpr uint64_t kMax = std::numeric_limits<VertexId>::max();
