@@ -1,7 +1,9 @@
 #ifndef GAMMA_CORE_AGGREGATION_H_
 #define GAMMA_CORE_AGGREGATION_H_
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -9,6 +11,8 @@
 #include "core/embedding_table.h"
 #include "core/multimerge_sort.h"
 #include "core/pattern_table.h"
+#include "graph/csr.h"
+#include "graph/pattern.h"
 
 namespace gpm::core {
 
@@ -35,18 +39,68 @@ struct AggregationOptions {
 };
 
 struct AggregationResult {
-  /// codes[r] = canonical pattern code of embedding r (aligned with the
-  /// last column). Retained so Filtering can drop instances of invalid
-  /// patterns without recomputing the map.
-  std::vector<uint64_t> codes;
+  /// codes[r] = rank of embedding r's canonical pattern code among
+  /// `distinct_codes` (aligned with the last column). Retained so Filtering
+  /// can drop instances of invalid patterns without recomputing the map.
+  std::vector<uint32_t> codes;
+  /// The distinct canonical codes of this table, ascending: rank k stands
+  /// for distinct_codes[k].
+  std::vector<uint64_t> distinct_codes;
   std::size_t distinct_patterns = 0;
   SortStats sort_stats;
   double kernel_cycles = 0;
 };
 
+/// Builds the quick pattern of rows of a table's last column: the
+/// embedding's shape as numbered by unit order, equal to PatternOfEdges
+/// (vertices in first-seen order) for an edge table and PatternOfVertices
+/// for a vertex table. Rows are appended in parent order, so the builder
+/// keeps the quick pattern of the last parent prefix and, while the parent
+/// repeats, adds only the row's last unit: an edge numbers each endpoint
+/// not yet seen (u, then v) and adds one edge; a vertex adds one vertex and
+/// its edges to the prefix. Rows may come in any order; ascending order
+/// builds each prefix once per run of equal parent. The table must hold at
+/// most Pattern::kMaxVertices vertices per row, and must outlive the builder
+/// unchanged.
+class QuickPatternBuilder {
+ public:
+  QuickPatternBuilder(const EmbeddingTable& table, const graph::Graph& g,
+                      bool use_labels);
+
+  /// The quick pattern of `row` of the last column; valid until the next
+  /// call.
+  const graph::Pattern& Build(RowIndex row);
+
+  /// The data vertices of the last built pattern, by pattern vertex.
+  std::span<const graph::VertexId> vertices() const {
+    return {verts_.data(), static_cast<std::size_t>(pattern_.num_vertices())};
+  }
+
+ private:
+  using VertexList = std::array<graph::VertexId, graph::Pattern::kMaxVertices>;
+
+  void AddUnit(Unit unit, graph::Pattern* p, VertexList* verts) const;
+
+  const graph::Graph& g_;
+  const bool edge_table_;
+  const bool use_labels_;
+  const int len_;
+  std::array<const Unit*, graph::Pattern::kMaxVertices> units_{};
+  std::array<const RowIndex*, graph::Pattern::kMaxVertices> parents_{};
+  // The pattern of columns [0, len - 1) of row `prefix_parent_` of column
+  // len - 2 (empty for a one-column table).
+  RowIndex prefix_parent_ = kNoParent;
+  graph::Pattern prefix_;
+  VertexList prefix_verts_{};
+  graph::Pattern pattern_;
+  VertexList verts_{};
+};
+
 /// The aggregation primitive (§III-B2): maps every embedding of `table` to
 /// its pattern's canonical label, sorts the label column (out-of-core when
-/// needed), counts support per pattern, and accumulates into `pt`.
+/// needed), counts support per pattern, and accumulates into `pt`. New
+/// patterns enter `pt` in ascending code order, each with the quick pattern
+/// of its first row as exemplar.
 Result<AggregationResult> Aggregate(const EmbeddingTable& table,
                                     GraphAccessor* accessor,
                                     PatternTable* pt,

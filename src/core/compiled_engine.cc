@@ -236,7 +236,8 @@ Result<CompiledRunResult> CompiledEngine::RunFrequentMining(
     // Filtering(ET, PT, sup_min): invalidate infrequent patterns and drop
     // their instances.
     result.patterns.InvalidateBelow(plan.min_support);
-    engine_->Filtering(et, agg.value().codes, result.patterns);
+    engine_->Filtering(et, agg.value().codes, agg.value().distinct_codes,
+                       result.patterns);
     result.patterns.EraseInvalid();
     result.aggregations.push_back(std::move(agg).value());
 

@@ -1,6 +1,6 @@
 #include "core/filtering.h"
 
-#include <unordered_set>
+#include <algorithm>
 
 #include "common/logging.h"
 #include "gpusim/device.h"
@@ -66,28 +66,34 @@ FilterStats FilterEmbeddings(
 }
 
 FilterStats FilterByPattern(EmbeddingTable* table,
-                            const std::vector<uint64_t>& codes,
+                            const std::vector<uint32_t>& ranks,
+                            const std::vector<uint64_t>& distinct_codes,
                             const PatternTable& pt,
                             const FilterOptions& options) {
-  GAMMA_CHECK(codes.size() == table->num_embeddings())
+  GAMMA_CHECK(ranks.size() == table->num_embeddings())
       << "codes misaligned with table";
-  std::unordered_set<uint64_t> invalid = pt.InvalidCodes();
-  const std::size_t rows = codes.size();
+  std::vector<uint8_t> drop(distinct_codes.size(), 0);
+  for (std::size_t k = 0; k < distinct_codes.size(); ++k) {
+    const PatternEntry* e = pt.Find(distinct_codes[k]);
+    drop[k] = e != nullptr && !e->valid;
+  }
+  const bool any_invalid =
+      std::any_of(pt.entries().begin(), pt.entries().end(),
+                  [](const PatternEntry& e) { return !e.valid; });
+  const std::size_t rows = ranks.size();
   std::vector<uint8_t> marks(rows, 1);
   gpusim::Device* device = table->device();
 
   double cycles = 0;
-  if (rows > 0 && !invalid.empty()) {
+  if (rows > 0 && any_invalid) {
     std::size_t tasks = (rows + kRowsPerWarp - 1) / kRowsPerWarp;
     cycles = device->LaunchKernel(tasks, [&](gpusim::WarpCtx& w,
                                              std::size_t t) {
       std::size_t lo = t * kRowsPerWarp;
       std::size_t hi = std::min(rows, lo + kRowsPerWarp);
-      w.DeviceRead((hi - lo) * sizeof(uint64_t));
+      w.DeviceRead((hi - lo) * kPatternCodeBytes);
       w.ChargeSimtWork(hi - lo, options.predicate_cycles);
-      for (std::size_t r = lo; r < hi; ++r) {
-        marks[r] = invalid.count(codes[r]) ? 0 : 1;
-      }
+      for (std::size_t r = lo; r < hi; ++r) marks[r] = !drop[ranks[r]];
       w.DeviceWrite(hi - lo);
     },
     "filter-mark-pattern");

@@ -37,10 +37,13 @@ FilterStats FilterEmbeddings(
     const std::function<bool(std::span<const Unit>)>& keep,
     const FilterOptions& options);
 
-/// FPM-style filtering: drops embeddings whose pattern (per `codes`, as
-/// returned by Aggregate) is invalid in `pt` (Algorithm 2, line 4).
+/// FPM-style filtering: drops embeddings whose pattern is invalid in `pt`
+/// (Algorithm 2, line 4). Row r's pattern code is
+/// distinct_codes[ranks[r]], as returned by Aggregate. The mark kernel
+/// runs whenever `pt` holds an invalid entry.
 FilterStats FilterByPattern(EmbeddingTable* table,
-                            const std::vector<uint64_t>& codes,
+                            const std::vector<uint32_t>& ranks,
+                            const std::vector<uint64_t>& distinct_codes,
                             const PatternTable& pt,
                             const FilterOptions& options);
 

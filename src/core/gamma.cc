@@ -178,12 +178,12 @@ FilterStats GammaEngine::Filtering(
   return FilterEmbeddings(et, constraint, options_.filter);
 }
 
-FilterStats GammaEngine::Filtering(EmbeddingTable* et,
-                                   const std::vector<uint64_t>& codes,
-                                   const PatternTable& pt) {
+FilterStats GammaEngine::Filtering(
+    EmbeddingTable* et, const std::vector<uint32_t>& ranks,
+    const std::vector<uint64_t>& distinct_codes, const PatternTable& pt) {
   GAMMA_CHECK(prepared_) << "engine not prepared";
   gpusim::PhaseScope phase(device_, kPhaseFiltering);
-  return FilterByPattern(et, codes, pt, options_.filter);
+  return FilterByPattern(et, ranks, distinct_codes, pt, options_.filter);
 }
 
 std::string GammaEngine::OutputResults(const EmbeddingTable* et,

@@ -92,8 +92,11 @@ class GammaEngine {
   FilterStats Filtering(EmbeddingTable* et,
                         const std::function<bool(std::span<const Unit>)>&
                             constraint);
+  /// FPM filtering by pattern: row r's code is
+  /// distinct_codes[ranks[r]], as returned by Aggregation.
   FilterStats Filtering(EmbeddingTable* et,
-                        const std::vector<uint64_t>& codes,
+                        const std::vector<uint32_t>& ranks,
+                        const std::vector<uint64_t>& distinct_codes,
                         const PatternTable& pt);
 
   /// Renders results for the user (embedding count or pattern supports).

@@ -11,6 +11,10 @@
 
 namespace gpm::core {
 
+/// Simulated bytes of one per-row pattern code. Kernels charge 64-bit codes
+/// whatever width the host column holds.
+inline constexpr std::size_t kPatternCodeBytes = sizeof(uint64_t);
+
 /// One aggregated pattern: canonical code, an exemplar shape, and support.
 struct PatternEntry {
   uint64_t code = 0;

@@ -18,17 +18,6 @@ Pattern::Pattern(int num_vertices) : n_(num_vertices) {
   labels_.fill(kAnyLabel);
 }
 
-uint64_t Pattern::Hash() const {
-  // Polynomial fold of one (adjacency row, label) word per vertex, then a
-  // single finalizing mix.
-  uint64_t h = static_cast<uint64_t>(n_);
-  for (int i = 0; i < n_; ++i) {
-    h = h * 0x9e3779b97f4a7c15ull +
-        ((static_cast<uint64_t>(adj_[i]) << 32) | labels_[i]);
-  }
-  return Mix64(h);
-}
-
 int Pattern::num_edges() const {
   int m = 0;
   for (int i = 0; i < n_; ++i) {
@@ -37,13 +26,6 @@ int Pattern::num_edges() const {
     }
   }
   return m;
-}
-
-void Pattern::AddEdge(int i, int j) {
-  GAMMA_CHECK(i != j && i >= 0 && j >= 0 && i < n_ && j < n_)
-      << "bad pattern edge (" << i << "," << j << ")";
-  adj_[i] |= static_cast<uint8_t>(1u << j);
-  adj_[j] |= static_cast<uint8_t>(1u << i);
 }
 
 int Pattern::degree(int i) const {

@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.h"
+#include "common/random.h"
 #include "common/status.h"
 #include "graph/csr.h"
 
@@ -29,7 +31,22 @@ class Pattern {
   int num_vertices() const { return n_; }
   int num_edges() const;
 
-  void AddEdge(int i, int j);
+  /// Appends vertex num_vertices() with label `l` and no edges; returns
+  /// its index. Checked: at most kMaxVertices vertices.
+  int AddVertex(Label l) {
+    GAMMA_CHECK(n_ < kMaxVertices)
+        << "pattern size out of range: more than " << kMaxVertices
+        << " vertices";
+    adj_[n_] = 0;
+    labels_[n_] = l;
+    return n_++;
+  }
+  void AddEdge(int i, int j) {
+    GAMMA_CHECK(i != j && i >= 0 && j >= 0 && i < n_ && j < n_)
+        << "bad pattern edge (" << i << "," << j << ")";
+    adj_[i] |= static_cast<uint8_t>(1u << j);
+    adj_[j] |= static_cast<uint8_t>(1u << i);
+  }
   bool HasEdge(int i, int j) const {
     return (adj_[i] >> j) & 1u;
   }
@@ -72,7 +89,16 @@ class Pattern {
   /// Hash of the pattern as currently numbered (vertex count, adjacency
   /// rows and labels); equal patterns hash equally. Picks the bucket in
   /// exact-pattern memos such as CanonicalCache.
-  uint64_t Hash() const;
+  uint64_t Hash() const {
+    // Polynomial fold of one (adjacency row, label) word per vertex, then a
+    // single finalizing mix.
+    uint64_t h = static_cast<uint64_t>(n_);
+    for (int i = 0; i < n_; ++i) {
+      h = h * 0x9e3779b97f4a7c15ull +
+          ((static_cast<uint64_t>(adj_[i]) << 32) | labels_[i]);
+    }
+    return Mix64(h);
+  }
 
   friend bool operator==(const Pattern& a, const Pattern& b) {
     if (a.n_ != b.n_) return false;

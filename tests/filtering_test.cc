@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/filtering.h"
 #include "core/gamma.h"
+#include "graph/canonical.h"
 #include "graph/generators.h"
 
 namespace gpm::core {
@@ -100,8 +104,8 @@ TEST(FilteringTest, PatternFilterDropsInvalidInstances) {
   ASSERT_TRUE(agg.ok());
   // Label pairs: (0,1)x3, (0,2)x2, (1,2)x1 — threshold 2 kills one.
   pt.InvalidateBelow(2);
-  FilterStats stats = engine.Filtering(t.value().get(),
-                                       agg.value().codes, pt);
+  FilterStats stats = engine.Filtering(
+      t.value().get(), agg.value().codes, agg.value().distinct_codes, pt);
   EXPECT_EQ(stats.removed, 1u);
   EXPECT_EQ(t.value()->num_embeddings(), 5u);
 }
@@ -117,10 +121,83 @@ TEST(FilteringTest, PatternFilterNoInvalidIsNoOp) {
   auto agg = engine.Aggregation(*t.value(), &pt);
   ASSERT_TRUE(agg.ok());
   pt.InvalidateBelow(1);  // nothing below 1
-  FilterStats stats = engine.Filtering(t.value().get(),
-                                       agg.value().codes, pt);
+  FilterStats stats = engine.Filtering(
+      t.value().get(), agg.value().codes, agg.value().distinct_codes, pt);
   EXPECT_EQ(stats.removed, 0u);
   EXPECT_EQ(t.value()->num_embeddings(), g.num_edges());
+}
+
+// Cycles of each "filter-mark-pattern" launch of one pattern filter over
+// the Toy edge table, after `invalidate` has edited its pattern table.
+template <typename Invalidate>
+std::vector<double> MarkPatternLaunches(Invalidate invalidate,
+                                        FilterStats* stats) {
+  graph::Graph g = Toy();
+  gpusim::Device device(TestParams());
+  device.critpath().set_enabled(true);
+  GammaEngine engine(&device, &g, {});
+  EXPECT_TRUE(engine.Prepare().ok());
+  auto t = engine.InitEdgeTable();
+  EXPECT_TRUE(t.ok());
+  PatternTable pt;
+  auto agg = engine.Aggregation(*t.value(), &pt);
+  EXPECT_TRUE(agg.ok());
+  invalidate(agg.value(), &pt);
+  *stats = engine.Filtering(t.value().get(), agg.value().codes,
+                            agg.value().distinct_codes, pt);
+  EXPECT_EQ(t.value()->num_embeddings(), g.num_edges() - stats->removed);
+  std::vector<double> launches;
+  for (const prof::CommandRecord& c : device.critpath().commands()) {
+    if (c.kind == prof::CommandRecord::Kind::kKernel &&
+        c.name == "filter-mark-pattern") {
+      launches.push_back(c.end - c.start);
+    }
+  }
+  return launches;
+}
+
+// The mark kernel launches whenever the pattern table holds an invalid
+// entry, even one no row of this table maps to; it then removes nothing and
+// costs what it costs when it does remove rows.
+TEST(FilteringTest, PatternFilterLaunchesForInvalidEntryAbsentFromTable) {
+  FilterStats present_stats;
+  const std::vector<double> present = MarkPatternLaunches(
+      [](const AggregationResult&, PatternTable* pt) {
+        pt->InvalidateBelow(2);  // the (1,2) label pair, one row
+      },
+      &present_stats);
+  ASSERT_EQ(present.size(), 1u);
+  EXPECT_EQ(present_stats.removed, 1u);
+  // Six rows at 8 simulated bytes per code read, one flag byte written and
+  // 4 predicate cycles each, under TestParams().
+  EXPECT_EQ(present[0], 2084.10546875);
+
+  FilterStats absent_stats;
+  const std::vector<double> absent = MarkPatternLaunches(
+      [](const AggregationResult& agg, PatternTable* pt) {
+        const uint64_t triangle =
+            graph::CanonicalCode(graph::Pattern::Triangle());
+        ASSERT_EQ(std::count(agg.distinct_codes.begin(),
+                             agg.distinct_codes.end(), triangle),
+                  0);
+        pt->Accumulate(triangle, graph::Pattern::Triangle(), 0);
+        ASSERT_EQ(pt->InvalidateBelow(1), 1u);
+      },
+      &absent_stats);
+  ASSERT_EQ(absent.size(), 1u);
+  EXPECT_GT(absent[0], 0.0);
+  EXPECT_EQ(absent[0], present[0]);
+  EXPECT_EQ(absent_stats.checked, present_stats.checked);
+  EXPECT_EQ(absent_stats.removed, 0u);
+
+  FilterStats none_stats;
+  EXPECT_TRUE(MarkPatternLaunches(
+                  [](const AggregationResult&, PatternTable* pt) {
+                    pt->InvalidateBelow(1);  // nothing below 1
+                  },
+                  &none_stats)
+                  .empty());
+  EXPECT_EQ(none_stats.removed, 0u);
 }
 
 TEST(FilteringTest, ChargesSimulatedTime) {
